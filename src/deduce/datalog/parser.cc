@@ -618,7 +618,8 @@ class Parser {
           if (Cur().kind != TokKind::kInt) {
             return Error("expected radius after 'spatial'");
           }
-          policy += ":" + Take().text;
+          policy += ':';
+          policy += Take().text;
         }
         if (prop == "storage") {
           decl.storage_policy = policy;

@@ -37,6 +37,15 @@ StatusOr<std::unique_ptr<DistributedEngine>> DistributedEngine::Create(
 StatusOr<std::unique_ptr<DistributedEngine>> DistributedEngine::CreateFromPlan(
     Network* network, QueryPlan plan, ResultFanout fanout,
     const EngineOptions& options) {
+  // Theorem 3's phase bounds (below) grow with the network diameter; a
+  // disconnected network has none, and a message across the cut has no
+  // route. Rejected before anything (the budget hook) is installed on
+  // the network.
+  const int diameter = network->topology().DiameterHops();
+  if (diameter < 0) {
+    return Status::FailedPrecondition(
+        "topology is disconnected: the engine needs a connected network");
+  }
   auto engine = std::unique_ptr<DistributedEngine>(new DistributedEngine());
   engine->network_ = network;
   engine->shared_ = std::make_unique<EngineShared>();
@@ -165,7 +174,6 @@ StatusOr<std::unique_ptr<DistributedEngine>> DistributedEngine::CreateFromPlan(
   // --- timing discipline (Theorem 3 bounds) ---
   const LinkModel& link = network->link();
   SimTime hop = link.MaxHopDelay(options.max_message_bytes);
-  int diameter = std::max(0, shared.topology->DiameterHops());
 
   int max_storage_hops = 0;
   int max_sweep_walk = 0;

@@ -74,6 +74,7 @@ class DistributedEngine {
  public:
   /// Compiles the program and installs a runtime on every node of
   /// `network` (which must not have apps yet). Starts the network.
+  /// FailedPrecondition if the network's topology is disconnected.
   static StatusOr<std::unique_ptr<DistributedEngine>> Create(
       Network* network, const Program& program, const EngineOptions& options);
 

@@ -382,8 +382,12 @@ std::string CanonLiteral(const Literal& lit, const Subst& rename,
   switch (lit.kind) {
     case Literal::Kind::kPositive:
       return pname(lit.atom.predicate) + args(lit.atom.args);
-    case Literal::Kind::kNegated:
-      return "!" + pname(lit.atom.predicate) + args(lit.atom.args);
+    case Literal::Kind::kNegated: {
+      std::string s = "!";
+      s += pname(lit.atom.predicate);
+      s += args(lit.atom.args);
+      return s;
+    }
     case Literal::Kind::kBuiltin:
       return std::string(lit.builtin_negated ? "!#" : "#") +
              SymbolName(lit.atom.predicate) + args(lit.atom.args);

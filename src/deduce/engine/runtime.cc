@@ -216,7 +216,7 @@ bool NodeRuntime::ForwardEngineMessage(NodeContext* ctx, NodeId final_target,
   }
   NodeId plain = shared_->routing->GeoNextHop(id_, final_target);
   NodeId next = plain;
-  if (transport_on()) {
+  if (transport_on() && shared_->liveness.down_count > 0) {
     NodeId detour = shared_->routing->NextHopAvoiding(
         id_, final_target, shared_->liveness.down, shared_->liveness.version);
     if (detour != kNoNode) next = detour;

@@ -235,6 +235,10 @@ struct BudgetOptions {
 /// give-ups; a node is cleared the moment anyone hears a message from it.
 struct LivenessView {
   std::vector<char> down;
+  /// Nodes currently marked in `down`. While it is 0 the avoid-aware next
+  /// hop equals the plain geographic one, so forwarding skips the
+  /// avoid-BFS.
+  int down_count = 0;
   /// Bumped on every change; keys the routing layer's avoid-BFS cache.
   uint64_t version = 1;
 
@@ -256,6 +260,7 @@ struct LivenessView {
     }
     if ((down[i] != 0) == is_down) return false;
     down[i] = is_down ? 1 : 0;
+    down_count += is_down ? 1 : -1;
     ++version;
     return true;
   }

@@ -284,7 +284,10 @@ Status RuleBodyEvaluator::Step(
     // this evaluation order (e.g. arithmetic over unbound variables).
     std::string pending;
     for (size_t i = 0; i < rule_->body.size(); ++i) {
-      if (!frame->done[i]) pending += " " + rule_->body[i].ToString();
+      if (!frame->done[i]) {
+        pending += ' ';
+        pending += rule_->body[i].ToString();
+      }
     }
     return Status::InvalidArgument(
         "cannot order body literals (unbound filters remain):" + pending +

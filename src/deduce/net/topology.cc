@@ -1,7 +1,6 @@
 #include "deduce/net/topology.h"
 
 #include <algorithm>
-#include <queue>
 
 #include "deduce/common/logging.h"
 
@@ -115,23 +114,38 @@ bool Topology::AreNeighbors(NodeId a, NodeId b) const {
 
 bool Topology::IsConnected() const {
   if (locations_.empty()) return true;
-  std::vector<bool> seen(locations_.size(), false);
-  std::queue<NodeId> q;
-  q.push(0);
-  seen[0] = true;
-  size_t count = 1;
-  while (!q.empty()) {
-    NodeId u = q.front();
-    q.pop();
+  return Bfs(0).reached == node_count();
+}
+
+BfsTree Topology::Bfs(NodeId source, const std::vector<char>* avoid) const {
+  size_t n = locations_.size();
+  BfsTree tree;
+  tree.parent.assign(n, kNoNode);
+  tree.dist.assign(n, -1);
+  // Each node is enqueued at most once, so a flat array read through a
+  // cursor is the FIFO queue.
+  std::vector<NodeId> queue;
+  queue.reserve(n);
+  tree.parent[static_cast<size_t>(source)] = source;
+  tree.dist[static_cast<size_t>(source)] = 0;
+  queue.push_back(source);
+  for (size_t head = 0; head < queue.size(); ++head) {
+    NodeId u = queue[head];
+    int next = tree.dist[static_cast<size_t>(u)] + 1;
     for (NodeId v : adjacency_[static_cast<size_t>(u)]) {
-      if (!seen[static_cast<size_t>(v)]) {
-        seen[static_cast<size_t>(v)] = true;
-        ++count;
-        q.push(v);
+      size_t vi = static_cast<size_t>(v);
+      if (tree.dist[vi] != -1) continue;
+      if (avoid != nullptr && vi < avoid->size() && (*avoid)[vi] != 0) {
+        continue;
       }
+      tree.dist[vi] = next;
+      tree.parent[vi] = u;
+      queue.push_back(v);
     }
   }
-  return count == locations_.size();
+  tree.reached = static_cast<int>(queue.size());
+  tree.eccentricity = tree.dist[static_cast<size_t>(queue.back())];
+  return tree;
 }
 
 NodeId Topology::GridNode(int p, int q) const {
@@ -209,29 +223,15 @@ NodeId Topology::ClosestNode(double x, double y) const {
 }
 
 int Topology::DiameterHops() const {
-  // Eccentricity from BFS over all sources would be O(n^2); for our network
-  // sizes that is fine and exact.
+  if (grid_side_.has_value()) return 2 * (*grid_side_ - 1);
+  // All-sources BFS is O(n^2) time (one O(n) tree at a time); exact, and
+  // only reached off the grid.
   int n = node_count();
   int diameter = 0;
-  for (int s = 0; s < n; ++s) {
-    std::vector<int> dist(static_cast<size_t>(n), -1);
-    std::queue<NodeId> q;
-    dist[static_cast<size_t>(s)] = 0;
-    q.push(s);
-    while (!q.empty()) {
-      NodeId u = q.front();
-      q.pop();
-      for (NodeId v : adjacency_[static_cast<size_t>(u)]) {
-        if (dist[static_cast<size_t>(v)] == -1) {
-          dist[static_cast<size_t>(v)] = dist[static_cast<size_t>(u)] + 1;
-          q.push(v);
-        }
-      }
-    }
-    for (int d : dist) {
-      if (d == -1) return -1;
-      diameter = std::max(diameter, d);
-    }
+  for (NodeId s = 0; s < n; ++s) {
+    BfsTree tree = Bfs(s);
+    if (tree.reached != n) return -1;
+    diameter = std::max(diameter, tree.eccentricity);
   }
   return diameter;
 }

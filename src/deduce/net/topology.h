@@ -22,6 +22,17 @@ struct Location {
   }
 };
 
+/// Result of a breadth-first search over a Topology (see Topology::Bfs).
+struct BfsTree {
+  /// parent[v] is the neighbour that first reached v; parent[source] ==
+  /// source; kNoNode if v was not reached.
+  std::vector<NodeId> parent;
+  /// dist[v] is v's hop count from the source; -1 if v was not reached.
+  std::vector<int> dist;
+  int reached = 0;       ///< Nodes reached, the source included.
+  int eccentricity = 0;  ///< Largest dist among the reached nodes.
+};
+
 /// Node placement + unit-disk connectivity. The paper's grid model (§III-A):
 /// "a node of unit transmission radius at each location (p, q)"; two nodes
 /// communicate iff within the radio range.
@@ -53,6 +64,14 @@ class Topology {
   /// True if the unit-disk graph is connected.
   bool IsConnected() const;
 
+  /// Breadth-first search from `source`. Nodes are expanded in visit order
+  /// and their neighbours in ascending id order; a node's parent is the
+  /// first expanded neighbour to reach it, so trees are deterministic.
+  /// Nodes marked non-zero in `avoid` (when given; ids past its end count
+  /// as unmarked) are never entered, but the source itself is always
+  /// expanded.
+  BfsTree Bfs(NodeId source, const std::vector<char>* avoid = nullptr) const;
+
   /// Grid side length when built by Grid(); nullopt otherwise.
   std::optional<int> grid_side() const { return grid_side_; }
 
@@ -64,7 +83,8 @@ class Topology {
   /// by lower id).
   NodeId ClosestNode(double x, double y) const;
 
-  /// Network diameter in hops (BFS from node 0; -1 if disconnected).
+  /// Network diameter in hops: the largest BFS eccentricity over all
+  /// nodes, 2(m-1) in closed form on Grid(m); -1 if disconnected.
   int DiameterHops() const;
 
  private:

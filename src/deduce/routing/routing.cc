@@ -1,139 +1,121 @@
 #include "deduce/routing/routing.h"
 
-#include <queue>
+#include <cstdlib>
+#include <tuple>
 
 #include "deduce/common/logging.h"
 
 namespace deduce {
 
-RoutingTable::RoutingTable(const Topology* topology) : topology_(topology) {}
+namespace {
 
-const RoutingTable::DestInfo& RoutingTable::InfoFor(NodeId dest) const {
-  auto it = cache_.find(dest);
-  if (it != cache_.end()) return *it->second;
-
-  auto info = std::make_unique<DestInfo>();
-  size_t n = static_cast<size_t>(topology_->node_count());
-  info->next_hop.assign(n, kNoNode);
-  info->dist.assign(n, -1);
-  // BFS outward from dest; neighbors are sorted by id, so next hops are
-  // deterministic.
-  std::queue<NodeId> q;
-  info->dist[static_cast<size_t>(dest)] = 0;
-  info->next_hop[static_cast<size_t>(dest)] = dest;
-  q.push(dest);
-  while (!q.empty()) {
-    NodeId u = q.front();
-    q.pop();
-    for (NodeId v : topology_->neighbors(u)) {
-      if (info->dist[static_cast<size_t>(v)] == -1) {
-        info->dist[static_cast<size_t>(v)] =
-            info->dist[static_cast<size_t>(u)] + 1;
-        info->next_hop[static_cast<size_t>(v)] = u;
-        q.push(v);
-      }
+/// Among `from`'s neighbours one hop closer to `dest` by `hops` (hop count
+/// to dest, -1 if unreachable), the one geographically closest to dest;
+/// kNoNode if `from` is at dest or cut off. Neighbours are scanned in
+/// ascending id order and only a strictly closer one replaces the pick, so
+/// the lowest id wins a tie. Making hop progress every step guarantees
+/// delivery (alternating pure greedy with a fallback can livelock around a
+/// void); this is the GPSR stand-in documented in DESIGN.md §2.
+template <typename Hops>
+NodeId ClosestProgressNeighbor(const Topology& topology, NodeId from,
+                               NodeId dest, Hops hops) {
+  int here = hops(from);
+  if (here <= 0) return kNoNode;
+  const Location& target = topology.location(dest);
+  NodeId best = kNoNode;
+  double best_d = 0;
+  for (NodeId v : topology.neighbors(from)) {
+    if (hops(v) != here - 1) continue;
+    double d = topology.location(v).DistanceTo(target);
+    if (best == kNoNode || d < best_d - 1e-12) {
+      best_d = d;
+      best = v;
     }
   }
-  const DestInfo& ref = *info;
+  return best;
+}
+
+/// Hop counts toward `dest` on a Grid topology: on the unit-range
+/// 4-neighbourhood grid, BFS distance is the Manhattan distance of the
+/// integer grid coordinates.
+class GridHops {
+ public:
+  GridHops(const Topology& topology, NodeId dest) : topology_(topology) {
+    std::tie(dest_p_, dest_q_) = topology.GridCoord(dest);
+  }
+  int operator()(NodeId v) const {
+    auto [p, q] = topology_.GridCoord(v);
+    return std::abs(p - dest_p_) + std::abs(q - dest_q_);
+  }
+
+ private:
+  const Topology& topology_;
+  int dest_p_ = 0;
+  int dest_q_ = 0;
+};
+
+}  // namespace
+
+RoutingTable::RoutingTable(const Topology* topology) : topology_(topology) {}
+
+const BfsTree& RoutingTable::InfoFor(NodeId dest) const {
+  auto it = cache_.find(dest);
+  if (it != cache_.end()) return *it->second;
+  auto info = std::make_unique<BfsTree>(topology_->Bfs(dest));
+  const BfsTree& ref = *info;
   cache_.emplace(dest, std::move(info));
   return ref;
 }
 
 NodeId RoutingTable::NextHop(NodeId from, NodeId dest) const {
   if (from == dest) return kNoNode;
-  const DestInfo& info = InfoFor(dest);
-  return info.next_hop[static_cast<size_t>(from)];
+  return InfoFor(dest).parent[static_cast<size_t>(from)];
 }
 
 NodeId RoutingTable::GeoNextHop(NodeId from, NodeId dest) const {
   if (from == dest) return kNoNode;
-  // Among neighbors that make hop progress (so delivery is guaranteed —
-  // alternating pure greedy with a fallback can livelock around a void),
-  // prefer the one geographically closest to the destination. This is the
-  // GPSR stand-in documented in DESIGN.md §2.
-  const DestInfo& info = InfoFor(dest);
-  int here = info.dist[static_cast<size_t>(from)];
-  if (here <= 0) return kNoNode;
-  const Location& target = topology_->location(dest);
-  NodeId best = kNoNode;
-  double best_d = 0;
-  for (NodeId v : topology_->neighbors(from)) {
-    if (info.dist[static_cast<size_t>(v)] != here - 1) continue;
-    double d = topology_->location(v).DistanceTo(target);
-    if (best == kNoNode || d < best_d - 1e-12) {
-      best_d = d;
-      best = v;
-    }
+  if (topology_->grid_side().has_value()) {
+    return ClosestProgressNeighbor(*topology_, from, dest,
+                                   GridHops(*topology_, dest));
   }
-  return best;
+  const std::vector<int>& dist = InfoFor(dest).dist;
+  return ClosestProgressNeighbor(
+      *topology_, from, dest,
+      [&](NodeId v) { return dist[static_cast<size_t>(v)]; });
 }
 
 NodeId RoutingTable::NextHopAvoiding(NodeId from, NodeId dest,
                                      const std::vector<char>& avoid,
                                      uint64_t cache_version) const {
   if (from == dest) return kNoNode;
-  auto avoided = [&](NodeId v) {
-    if (v == from || v == dest) return false;
-    size_t i = static_cast<size_t>(v);
-    return i < avoid.size() && avoid[i] != 0;
-  };
-  const DestInfo* info = nullptr;
-  AvoidInfo* slot = nullptr;
+  // BFS outward from dest over non-avoided nodes only. `dest` is always
+  // expanded (a message may legitimately target a node the sender merely
+  // suspects is down). An avoided `from` is never reached, so it gets
+  // kNoNode; an avoided neighbour is never reached either, so the pick
+  // below skips it.
+  const std::vector<int>* dist = nullptr;
+  std::vector<int> fresh;
   if (cache_version > 0) {
-    slot = &avoid_cache_[dest];
-    if (slot->version == cache_version) info = &slot->info;
-  }
-  DestInfo fresh;
-  if (info == nullptr) {
-    // BFS outward from dest over non-avoided nodes only. `dest` is always
-    // expanded (a message may legitimately target a node the sender merely
-    // suspects is down); `from` is handled by the neighbor scan below.
-    size_t n = static_cast<size_t>(topology_->node_count());
-    fresh.next_hop.assign(n, kNoNode);
-    fresh.dist.assign(n, -1);
-    std::queue<NodeId> q;
-    fresh.dist[static_cast<size_t>(dest)] = 0;
-    fresh.next_hop[static_cast<size_t>(dest)] = dest;
-    q.push(dest);
-    while (!q.empty()) {
-      NodeId u = q.front();
-      q.pop();
-      for (NodeId v : topology_->neighbors(u)) {
-        size_t vi = static_cast<size_t>(v);
-        if (fresh.dist[vi] != -1) continue;
-        if (v != dest && vi < avoid.size() && avoid[vi] != 0) continue;
-        fresh.dist[vi] = fresh.dist[static_cast<size_t>(u)] + 1;
-        fresh.next_hop[vi] = u;
-        q.push(v);
-      }
+    AvoidInfo& slot = avoid_cache_[dest];
+    if (slot.version != cache_version) {
+      slot.version = cache_version;
+      slot.dist = topology_->Bfs(dest, &avoid).dist;
     }
-    if (slot != nullptr) {
-      slot->version = cache_version;
-      slot->info = std::move(fresh);
-      info = &slot->info;
-    } else {
-      info = &fresh;
-    }
+    dist = &slot.dist;
+  } else {
+    fresh = topology_->Bfs(dest, &avoid).dist;
+    dist = &fresh;
   }
-  int here = info->dist[static_cast<size_t>(from)];
-  if (here <= 0) return kNoNode;
-  const Location& target = topology_->location(dest);
-  NodeId best = kNoNode;
-  double best_d = 0;
-  for (NodeId v : topology_->neighbors(from)) {
-    if (avoided(v)) continue;
-    if (info->dist[static_cast<size_t>(v)] != here - 1) continue;
-    double d = topology_->location(v).DistanceTo(target);
-    if (best == kNoNode || d < best_d - 1e-12) {
-      best_d = d;
-      best = v;
-    }
-  }
-  return best;
+  return ClosestProgressNeighbor(
+      *topology_, from, dest,
+      [&](NodeId v) { return (*dist)[static_cast<size_t>(v)]; });
 }
 
 int RoutingTable::HopDistance(NodeId from, NodeId dest) const {
   if (from == dest) return 0;
+  if (topology_->grid_side().has_value()) {
+    return GridHops(*topology_, dest)(from);
+  }
   return InfoFor(dest).dist[static_cast<size_t>(from)];
 }
 
@@ -153,27 +135,11 @@ std::vector<NodeId> RoutingTable::Route(NodeId from, NodeId dest) const {
 }
 
 SinkTree SinkTree::Build(const Topology& topology, NodeId root) {
+  BfsTree bfs = topology.Bfs(root);
   SinkTree tree;
   tree.root = root;
-  size_t n = static_cast<size_t>(topology.node_count());
-  tree.parent.assign(n, kNoNode);
-  tree.depth.assign(n, -1);
-  std::queue<NodeId> q;
-  tree.parent[static_cast<size_t>(root)] = root;
-  tree.depth[static_cast<size_t>(root)] = 0;
-  q.push(root);
-  while (!q.empty()) {
-    NodeId u = q.front();
-    q.pop();
-    for (NodeId v : topology.neighbors(u)) {
-      if (tree.depth[static_cast<size_t>(v)] == -1) {
-        tree.depth[static_cast<size_t>(v)] =
-            tree.depth[static_cast<size_t>(u)] + 1;
-        tree.parent[static_cast<size_t>(v)] = u;
-        q.push(v);
-      }
-    }
-  }
+  tree.parent = std::move(bfs.parent);
+  tree.depth = std::move(bfs.dist);
   return tree;
 }
 

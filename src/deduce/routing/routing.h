@@ -15,8 +15,13 @@ namespace deduce {
 /// closer to the destination's location), which is what the paper's setting
 /// assumes for grid networks — on a grid it degenerates to dimension-order
 /// routing. When greedy forwarding hits a local minimum (possible on random
-/// topologies), it falls back to a precomputed shortest-path next-hop — the
-/// stand-in for a full GPSR perimeter mode (see DESIGN.md §2).
+/// topologies), it falls back to a shortest-path next hop — the stand-in for
+/// a full GPSR perimeter mode (see DESIGN.md §2).
+///
+/// On a Grid topology, hop distances and geographic next hops are computed
+/// in closed form from the grid coordinates; no table is built. Elsewhere
+/// (and for NextHop/Route everywhere) a BFS table toward each destination
+/// is built on first use and cached.
 ///
 /// All computations are deterministic (ties broken by lower node id).
 class RoutingTable {
@@ -43,7 +48,8 @@ class RoutingTable {
                          const std::vector<char>& avoid,
                          uint64_t cache_version = 0) const;
 
-  /// Hop distance (BFS); -1 if unreachable.
+  /// Hop distance (Manhattan distance on a grid, BFS elsewhere); -1 if
+  /// unreachable.
   int HopDistance(NodeId from, NodeId dest) const;
 
   /// The full hop sequence from -> ... -> dest (excluding `from`); empty if
@@ -51,20 +57,17 @@ class RoutingTable {
   std::vector<NodeId> Route(NodeId from, NodeId dest) const;
 
  private:
-  /// BFS tree toward `dest`: parent[v] = next hop from v toward dest.
-  struct DestInfo {
-    std::vector<NodeId> next_hop;
-    std::vector<int> dist;
-  };
-  const DestInfo& InfoFor(NodeId dest) const;
+  /// BFS tree rooted at `dest`: parent[v] is the next hop from v toward
+  /// dest, dist[v] the hops left.
+  const BfsTree& InfoFor(NodeId dest) const;
 
   const Topology* topology_;
-  mutable std::unordered_map<NodeId, std::unique_ptr<DestInfo>> cache_;
-  /// Avoid-aware BFS results, keyed by dest and tagged with the liveness
+  mutable std::unordered_map<NodeId, std::unique_ptr<BfsTree>> cache_;
+  /// Avoid-aware BFS distances, keyed by dest and tagged with the liveness
   /// version they were computed under.
   struct AvoidInfo {
     uint64_t version = 0;
-    DestInfo info;
+    std::vector<int> dist;
   };
   mutable std::unordered_map<NodeId, AvoidInfo> avoid_cache_;
 };

@@ -42,6 +42,31 @@ TEST(EngineEdgeTest, StorageOnlyProgram) {
   EXPECT_EQ((*engine)->stats().results_emitted, 0u);
 }
 
+TEST(EngineEdgeTest, DisconnectedTopologyRejected) {
+  // A sparse deployment that falls apart into components has no diameter
+  // to bound Theorem 3's phases, and a message across the cut has no
+  // route: Create refuses it instead of running into "no route" errors.
+  Rng rng(1);
+  Topology topo = Topology::RandomGeometric(60, 10, 10, 1.2, &rng);
+  ASSERT_FALSE(topo.IsConnected());
+  Program program = Parse(R"(
+    .decl r/2 input.
+    .decl s/2 input.
+    t(X, Z) :- r(X, Y), s(Y, Z).
+  )");
+  EngineOptions options;
+  options.budget.enabled = true;  // Create would register a fault hook
+  Network net(std::move(topo), ExactLink(), 1);
+  auto engine = DistributedEngine::Create(&net, program, options);
+  ASSERT_FALSE(engine.ok());
+  EXPECT_EQ(engine.status().code(), StatusCode::kFailedPrecondition)
+      << engine.status();
+  // The multi-tenant path installs through the same check.
+  MultiTenantEngine tenants(options);
+  ASSERT_TRUE(tenants.AddProgram("a", program).ok());
+  EXPECT_EQ(tenants.Start(&net).code(), StatusCode::kFailedPrecondition);
+}
+
 TEST(EngineEdgeTest, DuplicateFactsFromDistinctSources) {
   // Two nodes generate the *same* fact. Each is a distinct tuple (own id);
   // a derivation survives while any support instance remains (§IV-A

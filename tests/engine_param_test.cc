@@ -159,7 +159,8 @@ std::string WideRuleProgram(int literals) {
   std::string text;
   std::string body;
   for (int i = 0; i < literals; ++i) {
-    std::string pred = "b" + std::to_string(i);
+    std::string pred = "b";
+    pred += std::to_string(i);
     text += ".decl " + pred + "/1 input.\n";
     body += (i == 0 ? "" : ", ") + pred + "(X)";
   }

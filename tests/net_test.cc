@@ -135,6 +135,34 @@ TEST(TopologyTest, GridDiameter) {
   EXPECT_EQ(t.DiameterHops(), 6);  // (m-1)*2
 }
 
+TEST(TopologyTest, BfsParentsAndAvoidSet) {
+  Topology line = Topology::Line(5);
+  BfsTree tree = line.Bfs(2);
+  EXPECT_EQ(tree.parent, (std::vector<NodeId>{1, 2, 2, 2, 3}));
+  EXPECT_EQ(tree.dist, (std::vector<int>{2, 1, 0, 1, 2}));
+  EXPECT_EQ(tree.reached, 5);
+  EXPECT_EQ(tree.eccentricity, 2);
+  // Marked nodes are never entered, but a marked source is still expanded.
+  std::vector<char> avoid = {0, 0, 1, 1, 0};
+  BfsTree cut = line.Bfs(2, &avoid);
+  EXPECT_EQ(cut.parent, (std::vector<NodeId>{1, 2, 2, kNoNode, kNoNode}));
+  EXPECT_EQ(cut.dist, (std::vector<int>{2, 1, 0, -1, -1}));
+  EXPECT_EQ(cut.reached, 3);
+  EXPECT_EQ(cut.eccentricity, 2);
+  // The first node to reach v is its parent: on a 2x2 grid, (1,1) is
+  // reached from (1,0) before (0,1).
+  Topology grid = Topology::Grid(2);
+  EXPECT_EQ(grid.Bfs(0).parent[3], 1);
+}
+
+TEST(TopologyTest, DisconnectedHasNoDiameter) {
+  Rng rng(1);
+  Topology t = Topology::RandomGeometric(60, 10, 10, 1.2, &rng);
+  ASSERT_FALSE(t.IsConnected());
+  EXPECT_EQ(t.DiameterHops(), -1);
+  EXPECT_LT(t.Bfs(0).reached, t.node_count());
+}
+
 TEST(TopologyTest, LineTopology) {
   Topology t = Topology::Line(5);
   EXPECT_TRUE(t.IsConnected());

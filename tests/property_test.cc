@@ -105,7 +105,8 @@ RandomProgram MakeRandomPositiveProgram(Rng* rng, int layers) {
   std::vector<std::string> previous = {"edb0", "edb1"};
   std::vector<SymbolId> idb;
   for (int layer = 0; layer < layers; ++layer) {
-    std::string name = "d" + std::to_string(layer);
+    std::string name = "d";
+    name += std::to_string(layer);
     idb.push_back(Intern(name));
     int rules = static_cast<int>(rng->Uniform(1, 2));
     for (int r = 0; r < rules; ++r) {

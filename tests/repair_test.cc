@@ -317,5 +317,22 @@ TEST(LivenessViewTest, MarkRejectsOutOfRangeNodes) {
   EXPECT_FALSE(view.IsDown(4));
 }
 
+TEST(LivenessViewTest, DownCountTracksMarks) {
+  LivenessView view;
+  view.down.assign(4, 0);
+  EXPECT_EQ(view.down_count, 0);
+  EXPECT_TRUE(view.Mark(1, true));
+  EXPECT_TRUE(view.Mark(3, true));
+  EXPECT_EQ(view.down_count, 2);
+  // Repeated and out-of-range marks change nothing.
+  EXPECT_FALSE(view.Mark(1, true));
+  EXPECT_FALSE(view.Mark(0, false));
+  EXPECT_FALSE(view.Mark(9, true));
+  EXPECT_EQ(view.down_count, 2);
+  EXPECT_TRUE(view.Mark(1, false));
+  EXPECT_TRUE(view.Mark(3, false));
+  EXPECT_EQ(view.down_count, 0);
+}
+
 }  // namespace
 }  // namespace deduce

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "deduce/routing/geo_hash.h"
@@ -90,6 +91,86 @@ TEST(RoutingTest, SinkTreeDepthsMatchBfs) {
   size_t total = 0;
   for (const auto& c : children) total += c.size();
   EXPECT_EQ(total, 15u);
+}
+
+// --- closed-form grid routing vs the BFS reference -------------------------
+
+// Checks every ordered pair of `t`: HopDistance against the BFS distance,
+// GeoNextHop against the avoid-aware next hop over an empty avoid set (the
+// BFS path), and DiameterHops against the largest BFS eccentricity.
+void ExpectRoutingMatchesBfs(const Topology& t) {
+  RoutingTable rt(&t);
+  const int n = t.node_count();
+  const std::vector<char> no_avoid(static_cast<size_t>(n), 0);
+  int diameter = 0;
+  for (NodeId dest = 0; dest < n; ++dest) {
+    BfsTree bfs = t.Bfs(dest);
+    ASSERT_EQ(bfs.reached, n);
+    diameter = std::max(diameter, bfs.eccentricity);
+    for (NodeId from = 0; from < n; ++from) {
+      ASSERT_EQ(rt.HopDistance(from, dest),
+                bfs.dist[static_cast<size_t>(from)])
+          << from << " -> " << dest;
+      ASSERT_EQ(rt.GeoNextHop(from, dest),
+                rt.NextHopAvoiding(from, dest, no_avoid, 0))
+          << from << " -> " << dest;
+    }
+  }
+  EXPECT_EQ(t.DiameterHops(), diameter);
+}
+
+TEST(RoutingTest, GridClosedFormsMatchBfs) {
+  for (int m : {1, 2, 3, 5, 8, 13}) {
+    SCOPED_TRACE(testing::Message() << "grid " << m);
+    ExpectRoutingMatchesBfs(Topology::Grid(m));
+  }
+}
+
+TEST(RoutingTest, RandomGeometricMatchesBfs) {
+  Rng rng(4242);
+  Topology t = Topology::RandomGeometric(40, 10, 10, 2.5, &rng);
+  ASSERT_TRUE(t.IsConnected());
+  ExpectRoutingMatchesBfs(t);
+}
+
+TEST(RoutingTest, GridNextHopTiesGoToLowestId) {
+  // From (0,0) toward (2,2) both (1,0) and (0,1) make progress and sit at
+  // the same distance from the target: the lower id, (1,0), wins.
+  Topology t = Topology::Grid(3);
+  RoutingTable rt(&t);
+  EXPECT_EQ(rt.GeoNextHop(t.GridNode(0, 0), t.GridNode(2, 2)),
+            t.GridNode(1, 0));
+  // Off the diagonal the hop closer to the target wins: from (0,0) toward
+  // (2,1), (1,0) is sqrt(2) away and (0,1) is 2 away.
+  EXPECT_EQ(rt.GeoNextHop(t.GridNode(0, 0), t.GridNode(2, 1)),
+            t.GridNode(1, 0));
+  EXPECT_EQ(rt.GeoNextHop(t.GridNode(0, 0), t.GridNode(1, 2)),
+            t.GridNode(0, 1));
+}
+
+TEST(RoutingTest, AvoidingDetoursAroundMarkedNodes) {
+  // On a 3x3 grid, avoiding (1,0) forces the hop from (0,0) toward (2,0)
+  // up through (0,1).
+  Topology t = Topology::Grid(3);
+  RoutingTable rt(&t);
+  std::vector<char> avoid(9, 0);
+  avoid[static_cast<size_t>(t.GridNode(1, 0))] = 1;
+  EXPECT_EQ(rt.NextHopAvoiding(t.GridNode(0, 0), t.GridNode(2, 0), avoid),
+            t.GridNode(0, 1));
+  // A marked destination is still reachable, and a marked sender is cut
+  // off (callers fall back to GeoNextHop).
+  EXPECT_EQ(rt.NextHopAvoiding(t.GridNode(0, 0), t.GridNode(1, 0), avoid),
+            t.GridNode(1, 0));
+  EXPECT_EQ(rt.NextHopAvoiding(t.GridNode(1, 0), t.GridNode(2, 0), avoid),
+            kNoNode);
+  // The cached variant answers the same until the version changes.
+  EXPECT_EQ(rt.NextHopAvoiding(t.GridNode(0, 0), t.GridNode(2, 0), avoid, 7),
+            t.GridNode(0, 1));
+  avoid.assign(9, 0);
+  EXPECT_EQ(rt.NextHopAvoiding(t.GridNode(0, 0), t.GridNode(2, 0), avoid, 7),
+            t.GridNode(0, 1));
+  EXPECT_EQ(rt.NextHopAvoiding(t.GridNode(0, 0), t.GridNode(2, 0), avoid, 8),
+            t.GridNode(1, 0));
 }
 
 TEST(GeoHashTest, SameFactSameHome) {

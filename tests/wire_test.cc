@@ -8,6 +8,13 @@
 namespace deduce {
 namespace {
 
+/// The symbol `prefix` followed by the decimal `i` ("p3", "X0").
+SymbolId NumberedSymbol(const char* prefix, int i) {
+  std::string name = prefix;
+  name += std::to_string(i);
+  return Intern(name);
+}
+
 /// Random ground term generator for round-trip property tests.
 Term RandomGroundTerm(Rng* rng, int depth = 0) {
   int kind = static_cast<int>(rng->Uniform(0, depth >= 3 ? 2 : 4));
@@ -96,7 +103,7 @@ TEST(WireTest, JoinPassRoundTrip) {
       PartialWire partial;
       partial.matched_mask = static_cast<uint32_t>(rng.NextUint64());
       for (int b = 0; b < rng.Uniform(0, 3); ++b) {
-        partial.bindings.emplace_back(Intern("X" + std::to_string(b)),
+        partial.bindings.emplace_back(NumberedSymbol("X", b),
                                       RandomGroundTerm(&rng));
       }
       for (int s = 0; s < rng.Uniform(0, 3); ++s) {
@@ -231,7 +238,7 @@ TEST(WireTest, RepairWiresRoundTrip) {
     reply.round = req.round;
     for (int d = 0; d < rng.Uniform(0, 4); ++d) {
       PredDigest pd;
-      pd.pred = Intern("p" + std::to_string(d));
+      pd.pred = NumberedSymbol("p", d);
       pd.count = rng.NextUint64();
       pd.fingerprint = rng.NextUint64();
       reply.digests.push_back(pd);
@@ -254,7 +261,7 @@ TEST(WireTest, RepairWiresRoundTrip) {
     pull.round = req.round;
     pull.reverse = rng.Bernoulli(0.5);
     for (int p = 0; p < rng.Uniform(0, 3); ++p) {
-      pull.preds.push_back(Intern("p" + std::to_string(p)));
+      pull.preds.push_back(NumberedSymbol("p", p));
     }
     for (int k = 0; k < rng.Uniform(0, 4); ++k) {
       RepairPullWire::Known known;
@@ -284,7 +291,7 @@ TEST(WireTest, RepairWiresRoundTrip) {
     push.round = pull.round;
     for (int e = 0; e < rng.Uniform(0, 4); ++e) {
       RepairPushWire::Entry entry;
-      entry.pred = Intern("p" + std::to_string(e));
+      entry.pred = NumberedSymbol("p", e);
       entry.fact = RandomFact(&rng);
       entry.id = TupleId{static_cast<NodeId>(rng.Uniform(0, 99)),
                          rng.Uniform(0, 1000000), static_cast<uint32_t>(e)};
