@@ -1,6 +1,7 @@
 #include "deduce/engine/engine.h"
 
 #include <algorithm>
+#include <set>
 
 #include "deduce/common/strings.h"
 #include "deduce/engine/observe.h"
@@ -209,7 +210,11 @@ StatusOr<std::unique_ptr<DistributedEngine>> DistributedEngine::CreateFromPlan(
     }
   }
   if (need_vertical) {
+    // VerticalPath(v) depends only on v's x coordinate: walk one path per
+    // distinct column.
+    std::set<double> walked;
     for (int v = 0; v < shared.topology->node_count(); ++v) {
+      if (!walked.insert(shared.topology->location(v).x).second) continue;
       int w = WalkHops(*shared.routing, shared.regions->VerticalPath(v));
       if (w >= 0) max_sweep_walk = std::max(max_sweep_walk, w);
     }

@@ -394,12 +394,9 @@ void RepairManager::HandleRepairPull(NodeContext* ctx,
     if (!SharedReplica(k.pred, k.id.source, rt_->id_, pull.requester)) {
       continue;
     }
-    const NodeRuntime::Replica* rep = nullptr;
+    const Replica* rep = nullptr;
     auto rit = rt_->replicas_.find(k.pred);
-    if (rit != rt_->replicas_.end()) {
-      auto i = rit->second.find(k.id);
-      if (i != rit->second.end()) rep = &i->second;
-    }
+    if (rit != rt_->replicas_.end()) rep = rit->second.Find(k.id);
     if (rep == nullptr ? (k.have_insert || k.has_del)
                        : ((k.have_insert && !rep->have_insert) ||
                           (k.has_del && !rep->del_ts.has_value()))) {
@@ -432,15 +429,16 @@ void RepairManager::HandleRepairPush(NodeContext* ctx,
     // be stale, and merging an already-expired replica would resurrect it.
     if (!SharedReplica(e.pred, e.id.source, rt_->id_, push.replier)) continue;
     if (e.have_insert && !WithinLifetime(e.pred, e.gen_ts, now)) continue;
-    const NodeRuntime::Replica* cur = nullptr;
+    // `cur` is dropped before RecordReplica below inserts: rows move.
+    bool need_insert = e.have_insert;
+    bool need_del = e.has_del;
     auto rit = rt_->replicas_.find(e.pred);
     if (rit != rt_->replicas_.end()) {
-      auto i = rit->second.find(e.id);
-      if (i != rit->second.end()) cur = &i->second;
+      if (const Replica* cur = rit->second.Find(e.id)) {
+        need_insert = need_insert && !cur->have_insert;
+        need_del = need_del && !cur->del_ts.has_value();
+      }
     }
-    bool need_insert = e.have_insert && (cur == nullptr || !cur->have_insert);
-    bool need_del =
-        e.has_del && (cur == nullptr || !cur->del_ts.has_value());
     if (need_insert) {
       // Route through RecordReplica so the §IV-B expiry timer is re-armed
       // relative to the original generation timestamp.

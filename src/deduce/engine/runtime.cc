@@ -820,30 +820,38 @@ Status NodeRuntime::Inject(NodeContext* ctx, StreamOp op, const Fact& fact) {
              });
     return Status::OK();
   }
-  // Deletion: find the live tuple this node generated.
+  // Deletion: find the first live tuple (in TupleId order) this node
+  // generated. The row is copied out before the storage phase records the
+  // deletion mark: rows move when the table changes.
+  std::optional<std::pair<TupleId, Timestamp>> live;
   auto rit = replicas_.find(fact.predicate());
   if (rit != replicas_.end()) {
-    for (auto& [id, rep] : rit->second) {
+    for (const auto& [id, rep] : rit->second) {
       if (id.source != id_ || !rep.have_insert || rep.del_ts.has_value()) {
         continue;
       }
       if (rep.fact != fact) continue;
-      TupleId tid = id;
-      if (provenance_on()) emit_inject(TraceIdFor(tid));
-      StartStoragePhase(ctx, fact.predicate(), fact, tid, rep.gen_ts,
-                        /*deletion=*/true, now);
-      Fact f = fact;
-      if (budget_on()) ++ingress_open_;
-      NewTimer(ctx, shared_->timing.JoinDelay(), [this, ctx, f, tid, now]() {
-        if (ingress_open_ > 0) --ingress_open_;
-        LaunchJoinPasses(ctx, f.predicate(), f, tid, StreamOp::kDelete, now);
-      });
-      return Status::OK();
+      live.emplace(id, rep.gen_ts);
+      break;
     }
   }
-  if (provenance_on()) emit_inject(0);  // failed deletion still traced (v1 did)
-  return Status::NotFound("no live tuple " + fact.ToString() +
-                          " generated at this node");
+  if (!live.has_value()) {
+    // A failed deletion is still traced (v1 did).
+    if (provenance_on()) emit_inject(0);
+    return Status::NotFound("no live tuple " + fact.ToString() +
+                            " generated at this node");
+  }
+  TupleId tid = live->first;
+  if (provenance_on()) emit_inject(TraceIdFor(tid));
+  StartStoragePhase(ctx, fact.predicate(), fact, tid, live->second,
+                    /*deletion=*/true, now);
+  Fact f = fact;
+  if (budget_on()) ++ingress_open_;
+  NewTimer(ctx, shared_->timing.JoinDelay(), [this, ctx, f, tid, now]() {
+    if (ingress_open_ > 0) --ingress_open_;
+    LaunchJoinPasses(ctx, f.predicate(), f, tid, StreamOp::kDelete, now);
+  });
+  return Status::OK();
 }
 
 void NodeRuntime::StartStoragePhase(NodeContext* ctx, SymbolId pred,
@@ -975,24 +983,21 @@ bool NodeRuntime::AdmitReplica(NodeContext* ctx, SymbolId pred,
   // Cheap early-out: live replicas never exceed total entries.
   if (it == replicas_.end() || it->second.size() < cap) return true;
   size_t live = 0;
-  auto oldest = it->second.end();
-  for (auto rit = it->second.begin(); rit != it->second.end(); ++rit) {
-    const Replica& rep = rit->second;
+  // Oldest live replica; ties go to the first in TupleId order.
+  Replica* oldest = nullptr;
+  for (auto& [id, rep] : it->second) {
     if (!rep.have_insert || rep.del_ts.has_value()) continue;
     ++live;
-    if (oldest == it->second.end() ||
-        rep.gen_ts < oldest->second.gen_ts) {
-      oldest = rit;
-    }
+    if (oldest == nullptr || rep.gen_ts < oldest->gen_ts) oldest = &rep;
   }
   if (live < cap) return true;
   if (shared_->budget.policy == ShedPolicy::kShedFarthestWindow &&
-      oldest != it->second.end()) {
+      oldest != nullptr) {
     // Early-expire the replica farthest into its window. A deletion mark —
     // not an erase — so removal sweeps still find the tuple and shedding
     // can never strand a retraction (§IV-A: marks are never removed); the
     // entry itself is garbage-collected by its normal expiry timer.
-    oldest->second.del_ts = now;
+    oldest->del_ts = now;
     ++shared_->stats.budget_evictions;
     if (shared_->metrics != nullptr) {
       shared_->metrics->Add(id_, "budget", "budget_evictions");
@@ -1009,10 +1014,13 @@ bool NodeRuntime::AdmitReplica(NodeContext* ctx, SymbolId pred,
 void NodeRuntime::RecordReplica(NodeContext* ctx, const StoreWire& store) {
   if (budget_on() && !store.deletion) {
     auto pit = replicas_.find(store.pred);
-    bool known = pit != replicas_.end() && pit->second.count(store.id) > 0;
+    bool known =
+        pit != replicas_.end() && pit->second.Find(store.id) != nullptr;
     if (!known && !AdmitReplica(ctx, store.pred, ctx->LocalTime())) return;
   }
-  Replica& rep = replicas_[store.pred][store.id];
+  // Rows move on insert; nothing below inserts into the table while `rep`
+  // is in use.
+  Replica& rep = replicas_[store.pred].FindOrInsert(store.id);
   bool changed = false;
   if (store.deletion) {
     changed = !rep.del_ts.has_value();
@@ -1036,7 +1044,7 @@ void NodeRuntime::RecordReplica(NodeContext* ctx, const StoreWire& store) {
         NewTimer(ctx, delay, [this, pred, id]() {
           ScopedSpan span(shared_->metrics, id_, "window_expiry");
           auto it = replicas_.find(pred);
-          if (it != replicas_.end()) it->second.erase(id);
+          if (it != replicas_.end()) it->second.Erase(id);
         });
       }
     }
@@ -1220,6 +1228,28 @@ bool NodeRuntime::IsPositiveComplete(const DeltaPlan& delta,
   return true;
 }
 
+template <typename Emit>
+void NodeRuntime::ProbeReplicas(const Literal& lit, uint32_t index,
+                                const Partial& p, Timestamp update_ts,
+                                bool removal, Emit&& emit) const {
+  auto rit = replicas_.find(lit.atom.predicate);
+  if (rit == replicas_.end()) return;
+  Timestamp window = shared_->plan.pred_plan(lit.atom.predicate).window;
+  GroundColumnFilter filter(lit.atom.args, p.subst, shared_->registry);
+  for (const auto& [rid, rep] : rit->second) {
+    if (!Visible(rep, update_ts, window, removal)) continue;
+    if (!filter.Admits(rep.fact.args())) continue;
+    Partial p2 = p;
+    if (!SolveMatchTerms(lit.atom.args, rep.fact.args(), &p2.subst,
+                         shared_->registry)) {
+      continue;
+    }
+    p2.mask |= (1u << index);
+    p2.support.emplace_back(index, rid);
+    emit(std::move(p2));
+  }
+}
+
 void NodeRuntime::ProcessPartialsHere(NodeContext* ctx, const DeltaPlan& delta,
                                       bool removal, Timestamp update_ts,
                                       const TupleId& update_id,
@@ -1319,21 +1349,9 @@ void NodeRuntime::ProcessPartialsHere(NodeContext* ctx, const DeltaPlan& delta,
     for (size_t i = 0; i < rule.body.size(); ++i) {
       if (p.mask & (1u << i)) continue;
       if (!extendable(i)) continue;
-      const Literal& lit = rule.body[i];
-      auto rit = replicas_.find(lit.atom.predicate);
-      if (rit == replicas_.end()) continue;
-      Timestamp window = shared_->plan.pred_plan(lit.atom.predicate).window;
-      for (const auto& [rid, rep] : rit->second) {
-        if (!Visible(rep, update_ts, window, removal)) continue;
-        Partial p2 = p;
-        if (!SolveMatchTerms(lit.atom.args, rep.fact.args(), &p2.subst,
-                             shared_->registry)) {
-          continue;
-        }
-        p2.mask |= (1u << i);
-        p2.support.emplace_back(static_cast<uint32_t>(i), rid);
-        work.push_back(std::move(p2));
-      }
+      ProbeReplicas(rule.body[i], static_cast<uint32_t>(i), p, update_ts,
+                    removal,
+                    [&](Partial p2) { work.push_back(std::move(p2)); });
     }
     out.push_back(std::move(p));
   }
@@ -1668,23 +1686,15 @@ void NodeRuntime::RunRouteStep(NodeContext* ctx, JoinPassWire jp) {
 
     // Evaluate the step's literal locally.
     std::vector<Partial> out;
-    Timestamp window = shared_->plan.pred_plan(lit.atom.predicate).window;
     for (Partial& p : partials) {
       if (!EvalFilters(delta, &p)) continue;
       if (lit.kind == Literal::Kind::kPositive) {
-        auto rit = replicas_.find(lit.atom.predicate);
-        if (rit == replicas_.end()) continue;
-        for (const auto& [rid, rep] : rit->second) {
-          if (!Visible(rep, jp.update_ts, window, jp.removal)) continue;
-          Partial p2 = p;
-          if (!SolveMatchTerms(lit.atom.args, rep.fact.args(), &p2.subst,
-                               shared_->registry)) {
-            continue;
-          }
-          p2.mask |= (1u << step.literal);
-          p2.support.emplace_back(static_cast<uint32_t>(step.literal), rid);
-          if (EvalFilters(delta, &p2)) out.push_back(std::move(p2));
-        }
+        ProbeReplicas(lit, static_cast<uint32_t>(step.literal), p,
+                      jp.update_ts, jp.removal, [&](Partial p2) {
+                        if (EvalFilters(delta, &p2)) {
+                          out.push_back(std::move(p2));
+                        }
+                      });
       } else {  // negated step
         if (jp.removal) {
           // Removal passes skip negation filters (see ProcessPartialsHere).

@@ -1,6 +1,7 @@
 #ifndef DEDUCE_ENGINE_RUNTIME_H_
 #define DEDUCE_ENGINE_RUNTIME_H_
 
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <memory>
@@ -339,6 +340,67 @@ struct EngineShared {
   std::vector<uint32_t> total_passes;
 };
 
+/// One replica of a tuple, placed at a node by a storage phase.
+struct Replica {
+  Fact fact;
+  Timestamp gen_ts = 0;
+  bool have_insert = false;          ///< False: deletion mark arrived first.
+  std::optional<Timestamp> del_ts;   ///< Deletion mark (§IV-A: not removed).
+};
+
+/// A node's replicas of one predicate (§V Fig. 3 local tables): {TupleId,
+/// Replica} rows in one contiguous vector sorted by TupleId. Every scan
+/// visits rows in TupleId order, which the join probe's match order, the
+/// budget's oldest-replica tie break, a deletion's own-tuple lookup and the
+/// repair lists all depend on. One fact stored under two TupleIds is two
+/// rows. Inserting or erasing a row moves the rows after it, so no
+/// reference, pointer or iterator into a table may be held across
+/// FindOrInsert or Erase.
+class ReplicaTable {
+ public:
+  using Row = std::pair<TupleId, Replica>;
+
+  size_t size() const { return rows_.size(); }
+  bool empty() const { return rows_.empty(); }
+  std::vector<Row>::iterator begin() { return rows_.begin(); }
+  std::vector<Row>::iterator end() { return rows_.end(); }
+  std::vector<Row>::const_iterator begin() const { return rows_.begin(); }
+  std::vector<Row>::const_iterator end() const { return rows_.end(); }
+
+  /// The replica stored under `id`, or null.
+  const Replica* Find(const TupleId& id) const {
+    auto it = LowerBound(rows_, id);
+    return it != rows_.end() && it->first == id ? &it->second : nullptr;
+  }
+  /// The replica stored under `id`, inserted default-constructed at its
+  /// place in TupleId order when absent.
+  Replica& FindOrInsert(const TupleId& id) {
+    auto it = LowerBound(rows_, id);
+    if (it == rows_.end() || it->first != id) {
+      it = rows_.insert(it, Row{id, Replica{}});
+    }
+    return it->second;
+  }
+  /// Removes the row of `id`; false when there is none.
+  bool Erase(const TupleId& id) {
+    auto it = LowerBound(rows_, id);
+    if (it == rows_.end() || it->first != id) return false;
+    rows_.erase(it);
+    return true;
+  }
+
+ private:
+  template <typename Rows>
+  static auto LowerBound(Rows& rows, const TupleId& id)
+      -> decltype(rows.begin()) {
+    return std::lower_bound(
+        rows.begin(), rows.end(), id,
+        [](const Row& row, const TupleId& key) { return row.first < key; });
+  }
+
+  std::vector<Row> rows_;
+};
+
 /// The per-node engine runtime (§V Fig. 3: join component + hashing
 /// component + routing component + local tables).
 class NodeRuntime : public NodeApp {
@@ -387,14 +449,6 @@ class NodeRuntime : public NodeApp {
   /// The repair protocol driver reaches into the replica store and the
   /// send/timer plumbing (repair.h).
   friend class RepairManager;
-
-  /// One replica of a tuple, placed here by a storage phase.
-  struct Replica {
-    Fact fact;
-    Timestamp gen_ts = 0;
-    bool have_insert = false;          ///< False: deletion mark arrived first.
-    std::optional<Timestamp> del_ts;   ///< Deletion mark (§IV-A: not removed).
-  };
 
   /// Home-store entry for a derived tuple hashed to this node.
   struct HomeEntry {
@@ -537,6 +591,14 @@ class NodeRuntime : public NodeApp {
                            const TupleId& update_id, int extend_literal,
                            bool at_launch, std::vector<Partial>* partials);
 
+  /// The join probe of sweep and route steps: extends `p` by positive body
+  /// literal `lit` (index `index`) with every visible local replica of its
+  /// predicate that matches, in TupleId order, handing each extension to
+  /// `emit`. A GroundColumnFilter rejects rows before `p` is copied.
+  template <typename Emit>
+  void ProbeReplicas(const Literal& lit, uint32_t index, const Partial& p,
+                     Timestamp update_ts, bool removal, Emit&& emit) const;
+
   /// Evaluates ready comparisons/builtins; returns false if the partial
   /// dies. Marks evaluated literals in the mask.
   bool EvalFilters(const DeltaPlan& delta, Partial* p);
@@ -619,7 +681,7 @@ class NodeRuntime : public NodeApp {
   NodeId id_;
   RepairManager repair_{this};
 
-  std::unordered_map<SymbolId, std::map<TupleId, Replica>> replicas_;
+  std::unordered_map<SymbolId, ReplicaTable> replicas_;
   struct HomeRel {
     std::unordered_map<Fact, HomeEntry, FactHash> map;
     std::vector<Fact> order;

@@ -15,6 +15,17 @@ StatusOr<Term> Normalize(const Term& t, const Subst& subst,
   return EvalTerm(subst.Apply(t), registry);
 }
 
+/// The term SolveMatchTerm matches `pattern` as under `subst`: the bindings
+/// applied, then registered functions evaluated; the applied term is kept
+/// when evaluation fails. GroundColumnFilter uses the same normalization.
+Term NormalizePattern(const Term& pattern, const Subst& subst,
+                      const BuiltinRegistry& registry) {
+  Term p = subst.Apply(pattern);
+  StatusOr<Term> normalized = EvalTerm(p, registry);
+  if (normalized.ok()) return std::move(normalized).value();
+  return p;
+}
+
 }  // namespace
 
 /// Matches `pattern` against a ground term like MatchTerm, but additionally
@@ -24,9 +35,7 @@ StatusOr<Term> Normalize(const Term& t, const Subst& subst,
 /// literal whose arguments may carry arithmetic).
 bool SolveMatchTerm(const Term& pattern, const Term& ground, Subst* subst,
                     const BuiltinRegistry& registry) {
-  Term p = subst->Apply(pattern);
-  StatusOr<Term> normalized = EvalTerm(p, registry);
-  if (normalized.ok()) p = std::move(normalized).value();
+  Term p = NormalizePattern(pattern, *subst, registry);
   if (p.is_ground()) return p == ground;
   if (p.is_variable()) return subst->Bind(p.var(), ground);
   // Function pattern. Try exact structural match first.
@@ -80,6 +89,24 @@ bool SolveMatchTerms(const std::vector<Term>& patterns,
     if (!SolveMatchTerm(patterns[i], grounds[i], subst, registry)) {
       return false;
     }
+  }
+  return true;
+}
+
+GroundColumnFilter::GroundColumnFilter(const std::vector<Term>& patterns,
+                                       const Subst& subst,
+                                       const BuiltinRegistry& registry)
+    : arity_(patterns.size()) {
+  for (size_t i = 0; i < patterns.size(); ++i) {
+    Term p = NormalizePattern(patterns[i], subst, registry);
+    if (p.is_ground()) ground_.emplace_back(i, std::move(p));
+  }
+}
+
+bool GroundColumnFilter::Admits(const std::vector<Term>& row) const {
+  if (row.size() != arity_) return false;
+  for (const auto& [column, term] : ground_) {
+    if (!(term == row[column])) return false;
   }
   return true;
 }

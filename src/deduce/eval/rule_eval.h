@@ -53,6 +53,27 @@ bool SolveMatchTerms(const std::vector<Term>& patterns,
                      const std::vector<Term>& grounds, Subst* subst,
                      const BuiltinRegistry& registry);
 
+/// Rejects rows for SolveMatchTerms(patterns, row, &subst) before a caller
+/// copies `subst` to try them. Each pattern is normalized once, as
+/// SolveMatchTerm does. A pattern that normalizes to a ground term keeps
+/// it while SolveMatchTerms extends the substitution, and SolveMatchTerm
+/// compares a ground pattern with ==, so a row that differs in such a
+/// column fails SolveMatchTerms too. The filter is exact as a rejection
+/// test; SolveMatchTerms still decides every row it admits.
+class GroundColumnFilter {
+ public:
+  GroundColumnFilter(const std::vector<Term>& patterns, const Subst& subst,
+                     const BuiltinRegistry& registry);
+
+  /// False when SolveMatchTerms must reject `row`.
+  bool Admits(const std::vector<Term>& row) const;
+
+ private:
+  size_t arity_;
+  /// (column, normalized ground pattern), in column order.
+  std::vector<std::pair<size_t, Term>> ground_;
+};
+
 /// Evaluates the body of one rule against a RelationReader, emitting every
 /// satisfying substitution. This is the single join engine shared by the
 /// centralized semi-naive evaluator, the staged XY evaluator, the

@@ -233,6 +233,58 @@ TEST(EngineTest, ArbitraryTopologyBands) {
                    {"t"});
 }
 
+int PathHops(const RoutingTable& routing, const std::vector<NodeId>& path) {
+  int hops = 0;
+  for (size_t i = 0; i + 1 < path.size(); ++i) {
+    hops += routing.HopDistance(path[i], path[i + 1]);
+  }
+  return hops;
+}
+
+// Create walks one vertical path per distinct x coordinate. Its τ_s and τ_j
+// must equal those derived from walking every node's vertical path, whose
+// distinct lengths land in `vertical_walks`.
+void ExpectTimingOfAnAllNodesWalk(const Topology& topo,
+                                  std::set<int>* vertical_walks) {
+  Network net(topo, ExactLink(), 1);
+  EngineOptions options;  // PA: row storage, single-pass column sweeps
+  auto engine = DistributedEngine::Create(&net, Parse(kJoinProgram), options);
+  ASSERT_TRUE(engine.ok()) << engine.status();
+
+  RegionMapper regions(&topo);
+  RoutingTable routing(&topo);
+  int storage = 0;
+  for (NodeId v = 0; v < topo.node_count(); ++v) {
+    storage = std::max(storage, PathHops(routing, regions.HorizontalPath(v)));
+    vertical_walks->insert(PathHops(routing, regions.VerticalPath(v)));
+  }
+  int diameter = topo.DiameterHops();
+  int sweep = std::max(*vertical_walks->rbegin(), diameter);
+  SimTime hop = ExactLink().MaxHopDelay(options.max_message_bytes);
+  const EngineTiming& timing = (*engine)->timing();
+  EXPECT_EQ(timing.tau_s,
+            static_cast<SimTime>(options.timing_margin *
+                                 static_cast<double>(hop * (storage + 2))));
+  EXPECT_EQ(timing.tau_j, static_cast<SimTime>(
+                              options.timing_margin *
+                              static_cast<double>(hop * (diameter + sweep + 2))));
+}
+
+TEST(EngineTest, TimingMatchesAnAllNodesWalkOnAGrid) {
+  std::set<int> vertical_walks;
+  ExpectTimingOfAnAllNodesWalk(Topology::Grid(6), &vertical_walks);
+}
+
+TEST(EngineTest, TimingMatchesAnAllNodesWalkOnARandomGeometricGraph) {
+  Rng rng(31);
+  Topology topo = Topology::RandomGeometric(30, 6, 6, 2.0, &rng);
+  ASSERT_TRUE(topo.IsConnected());
+  std::set<int> vertical_walks;
+  ExpectTimingOfAnAllNodesWalk(topo, &vertical_walks);
+  // Columns differ in length here, so walking too few of them would show.
+  EXPECT_GT(vertical_walks.size(), 1u);
+}
+
 TEST(EngineTest, RandomizedEquivalenceSweep) {
   for (uint64_t seed : {301u, 302u, 303u}) {
     CheckEquivalence(kJoinProgram, Topology::Grid(4),

@@ -228,5 +228,80 @@ TEST(SolveMatchTest, MismatchFails) {
                               ParseTerm("g(1)").value(), &subst2, registry));
 }
 
+// The join probe's pattern q(K, 2, M, M, N + 1) with K = 1 and N = 4 bound:
+// a bound variable, a constant, a repeated unbound variable and arithmetic
+// over a bound variable.
+std::vector<Term> ProbePatterns() {
+  std::vector<Term> out;
+  for (const char* text : {"K", "2", "M", "M", "N + 1"}) {
+    out.push_back(ParseTerm(text).value());
+  }
+  return out;
+}
+
+Subst ProbeBindings() {
+  Subst subst;
+  subst.Bind(Intern("K"), Term::Int(1));
+  subst.Bind(Intern("N"), Term::Int(4));
+  return subst;
+}
+
+std::vector<Term> Row(std::vector<int64_t> values) {
+  std::vector<Term> out;
+  for (int64_t v : values) out.push_back(Term::Int(v));
+  return out;
+}
+
+TEST(GroundColumnFilterTest, RejectsEachGroundColumnAndDefersTheRest) {
+  BuiltinRegistry registry = BuiltinRegistry::Default();
+  GroundColumnFilter filter(ProbePatterns(), ProbeBindings(), registry);
+  EXPECT_TRUE(filter.Admits(Row({1, 2, 7, 7, 5})));   // a match
+  EXPECT_FALSE(filter.Admits(Row({0, 2, 7, 7, 5})));  // bound variable
+  EXPECT_FALSE(filter.Admits(Row({1, 3, 7, 7, 5})));  // constant
+  EXPECT_FALSE(filter.Admits(Row({1, 2, 7, 7, 4})));  // N + 1, evaluated
+  EXPECT_FALSE(filter.Admits(Row({1, 2, 7, 7})));     // arity
+  // The repeated variable is unbound, so the matcher decides the row.
+  EXPECT_TRUE(filter.Admits(Row({1, 2, 7, 8, 5})));
+  Subst subst = ProbeBindings();
+  EXPECT_FALSE(
+      SolveMatchTerms(ProbePatterns(), Row({1, 2, 7, 8, 5}), &subst, registry));
+}
+
+TEST(GroundColumnFilterTest, NeverRejectsARowTheMatcherAccepts) {
+  BuiltinRegistry registry = BuiltinRegistry::Default();
+  std::vector<Term> patterns = ProbePatterns();
+  // A structured column, and a ground call that fails to evaluate: both
+  // keep the applied term, as SolveMatchTerm does.
+  patterns.push_back(ParseTerm("f(K, Y)").value());
+  patterns.push_back(ParseTerm("K / 0").value());
+  Subst bindings = ProbeBindings();
+  GroundColumnFilter filter(patterns, bindings, registry);
+  int admitted = 0;
+  int matched = 0;
+  // Each bit of `pick` chooses one of two values for one column.
+  for (int pick = 0; pick < 64; ++pick) {
+    auto choose = [&](int bit, int64_t a, int64_t b) {
+      return (pick >> bit) & 1 ? b : a;
+    };
+    std::vector<Term> row = Row({choose(0, 1, 0), choose(1, 2, 3), 7,
+                                 choose(2, 7, 8), choose(3, 5, 4)});
+    row.push_back(Term::Function(
+        Intern("f"), {Term::Int(choose(4, 1, 0)), Term::Int(3)}));
+    row.push_back(Term::Function(
+        Intern("/"), {Term::Int(choose(5, 1, 2)), Term::Int(0)}));
+    Subst subst = bindings;
+    bool solves = SolveMatchTerms(patterns, row, &subst, registry);
+    bool admits = filter.Admits(row);
+    EXPECT_TRUE(admits || !solves) << pick;
+    admitted += admits ? 1 : 0;
+    matched += solves ? 1 : 0;
+  }
+  EXPECT_EQ(matched, 1);
+  // The ground columns agree on 4 rows: the match, and the rows that differ
+  // only in the repeated M or in f's first argument (f(K, Y) is not
+  // ground, so the matcher decides it).
+  EXPECT_EQ(admitted, 4);
+}
+
 }  // namespace
 }  // namespace deduce
