@@ -24,36 +24,6 @@ size_t BucketIndex(int64_t value) {
   return i;
 }
 
-void AppendEscaped(const std::string& s, std::string* out) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        // Escape control bytes and anything non-ASCII: names can carry
-        // arbitrary bytes (e.g. a corrupted predicate symbol decoded off
-        // the wire), and raw high bytes would make the JSON invalid
-        // UTF-8. Each byte escapes as its Latin-1 codepoint.
-        if (static_cast<unsigned char>(c) < 0x20 ||
-            static_cast<unsigned char>(c) > 0x7e) {
-          *out += StrFormat("\\u%04x", static_cast<unsigned char>(c));
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
-
 }  // namespace
 
 void HistogramData::Observe(int64_t value) {
@@ -165,9 +135,9 @@ std::string MetricsRegistry::ToJson(bool include_timing) const {
     if (!first) out += ",";
     first = false;
     out += StrFormat("{\"node\":%d,\"component\":\"", std::get<0>(key));
-    AppendEscaped(std::get<1>(key), &out);
+    AppendJsonEscaped(std::get<1>(key), &out);
     out += "\",\"name\":\"";
-    AppendEscaped(std::get<2>(key), &out);
+    AppendJsonEscaped(std::get<2>(key), &out);
     out += "\",";
     switch (e.kind) {
       case Kind::kCounter:

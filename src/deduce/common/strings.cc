@@ -66,4 +66,30 @@ std::string ToLower(std::string_view s) {
   return out;
 }
 
+void AppendJsonEscaped(std::string_view s, std::string* out) {
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        *out += "\\\"";
+        break;
+      case '\\':
+        *out += "\\\\";
+        break;
+      case '\n':
+        *out += "\\n";
+        break;
+      case '\t':
+        *out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20 ||
+            static_cast<unsigned char>(c) > 0x7e) {
+          *out += StrFormat("\\u%04x", static_cast<unsigned char>(c));
+        } else {
+          *out += c;
+        }
+    }
+  }
+}
+
 }  // namespace deduce

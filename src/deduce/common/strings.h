@@ -29,6 +29,13 @@ bool EndsWith(std::string_view s, std::string_view suffix);
 /// Lowercases ASCII characters.
 std::string ToLower(std::string_view s);
 
+/// Appends `s` escaped for use inside a JSON string literal. Control bytes
+/// and every byte outside printable ASCII escape as \u00XX (the byte's
+/// Latin-1 codepoint): names can carry arbitrary bytes, e.g. a corrupted
+/// symbol decoded off the wire, and raw high bytes would make the output
+/// invalid UTF-8.
+void AppendJsonEscaped(std::string_view s, std::string* out);
+
 }  // namespace deduce
 
 #endif  // DEDUCE_COMMON_STRINGS_H_

@@ -5,42 +5,13 @@
 #include <istream>
 #include <ostream>
 #include <set>
+#include <sstream>
 
 #include "deduce/common/strings.h"
 
 namespace deduce {
 
 namespace {
-
-void AppendEscaped(const std::string& s, std::string* out) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        // Escape control bytes and anything non-ASCII: predicate and fact
-        // strings can carry arbitrary bytes (e.g. a corrupted symbol
-        // decoded off the wire), and raw high bytes would make the JSONL
-        // invalid UTF-8. Each byte escapes as its Latin-1 codepoint.
-        if (static_cast<unsigned char>(c) < 0x20 ||
-            static_cast<unsigned char>(c) > 0x7e) {
-          *out += StrFormat("\\u%04x", static_cast<unsigned char>(c));
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
 
 /// Minimal scanner for the flat one-line JSON objects ToJson emits:
 /// string, integer, and boolean values only — no nesting, no arrays.
@@ -189,11 +160,11 @@ bool TraceIdFromHex(const std::string& hex, uint64_t* out) {
 std::string TraceRecord::ToJson() const {
   std::string out = StrFormat("{\"time\":%lld,\"node\":%d,\"kind\":\"",
                               static_cast<long long>(time), node);
-  AppendEscaped(kind, &out);
+  AppendJsonEscaped(kind, &out);
   out += "\",\"phase\":\"";
-  AppendEscaped(phase, &out);
+  AppendJsonEscaped(phase, &out);
   out += "\",\"pred\":\"";
-  AppendEscaped(pred, &out);
+  AppendJsonEscaped(pred, &out);
   out += StrFormat(
       "\",\"src\":%d,\"dst\":%d,\"bytes\":%llu,\"seq\":%llu,"
       "\"attempts\":%d,\"delivered\":%s",
@@ -214,7 +185,7 @@ std::string TraceRecord::ToJson() const {
   }
   if (!fact.empty()) {
     out += ",\"fact\":\"";
-    AppendEscaped(fact, &out);
+    AppendJsonEscaped(fact, &out);
     out += "\"";
   }
   if (rule != kNoRule) out += StrFormat(",\"rule\":%d", rule);
@@ -224,7 +195,7 @@ std::string TraceRecord::ToJson() const {
   // absent field), keeping cost rows self-describing for jq.
   if (!cf.empty()) {
     out += ",\"cf\":\"";
-    AppendEscaped(cf, &out);
+    AppendJsonEscaped(cf, &out);
     out += "\"";
     if (cf == "cost") {
       out += StrFormat(
@@ -348,6 +319,18 @@ StatusOr<TraceRecord> TraceRecord::FromJson(const std::string& line) {
     return Status::InvalidArgument("trace json: missing \"kind\"");
   }
   return r;
+}
+
+std::vector<TraceRecord> ParseTraceRecords(const std::string& jsonl) {
+  std::vector<TraceRecord> out;
+  std::istringstream in(jsonl);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (StrTrim(line).empty()) continue;
+    auto r = TraceRecord::FromJson(line);
+    if (r.ok()) out.push_back(std::move(*r));
+  }
+  return out;
 }
 
 bool TraceRecord::operator==(const TraceRecord& o) const {

@@ -97,6 +97,10 @@ struct TraceRecord {
   bool operator==(const TraceRecord& o) const;
 };
 
+/// Parses every record of a JSONL trace, skipping blank lines and lines
+/// FromJson rejects.
+std::vector<TraceRecord> ParseTraceRecords(const std::string& jsonl);
+
 /// Formats a trace id the way the JSONL schema carries it: 16 lowercase hex
 /// digits, zero padded.
 std::string TraceIdToHex(uint64_t tid);

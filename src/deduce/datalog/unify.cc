@@ -6,15 +6,24 @@
 
 namespace deduce {
 
+namespace {
+
+bool VarLess(const std::pair<SymbolId, Term>& binding, SymbolId var) {
+  return binding.first < var;
+}
+
+}  // namespace
+
 bool Subst::Bind(SymbolId var, const Term& term) {
-  auto [it, inserted] = map_.emplace(var, term);
-  if (inserted) return true;
-  return it->second == term;
+  auto it = std::lower_bound(bindings_.begin(), bindings_.end(), var, VarLess);
+  if (it != bindings_.end() && it->first == var) return it->second == term;
+  bindings_.emplace(it, var, term);
+  return true;
 }
 
 const Term* Subst::Lookup(SymbolId var) const {
-  auto it = map_.find(var);
-  return it == map_.end() ? nullptr : &it->second;
+  auto it = std::lower_bound(bindings_.begin(), bindings_.end(), var, VarLess);
+  return it != bindings_.end() && it->first == var ? &it->second : nullptr;
 }
 
 Term Subst::Apply(const Term& term) const {
@@ -49,8 +58,8 @@ std::vector<Term> Subst::ApplyAll(const std::vector<Term>& terms) const {
 
 std::string Subst::ToString() const {
   std::vector<std::pair<std::string, std::string>> entries;
-  entries.reserve(map_.size());
-  for (const auto& [var, term] : map_) {
+  entries.reserve(bindings_.size());
+  for (const auto& [var, term] : bindings_) {
     entries.emplace_back(SymbolName(var), term.ToString());
   }
   std::sort(entries.begin(), entries.end());

@@ -2,14 +2,16 @@
 #define DEDUCE_DATALOG_UNIFY_H_
 
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "deduce/datalog/term.h"
 
 namespace deduce {
 
-/// A substitution: a finite map from variables to terms.
+/// A substitution: a finite map from variables to terms, kept as a vector
+/// sorted by variable id (substitutions hold a handful of bindings, and a
+/// join partial ships them in that order).
 ///
 /// During bottom-up evaluation every binding is ground (facts are ground),
 /// but the class supports general bindings so full unification can be used
@@ -33,16 +35,21 @@ class Subst {
 
   std::vector<Term> ApplyAll(const std::vector<Term>& terms) const;
 
-  size_t size() const { return map_.size(); }
-  bool empty() const { return map_.empty(); }
+  size_t size() const { return bindings_.size(); }
+  bool empty() const { return bindings_.empty(); }
 
   /// Deterministic "{X=1, Y=f(2)}" form (sorted by variable name).
   std::string ToString() const;
 
-  const std::unordered_map<SymbolId, Term>& map() const { return map_; }
+  /// The bindings in ascending variable id.
+  const std::vector<std::pair<SymbolId, Term>>& bindings() const {
+    return bindings_;
+  }
+
+  bool operator==(const Subst& o) const = default;
 
  private:
-  std::unordered_map<SymbolId, Term> map_;
+  std::vector<std::pair<SymbolId, Term>> bindings_;
 };
 
 /// One-sided matching: extends `subst` so that Apply(pattern) == ground.

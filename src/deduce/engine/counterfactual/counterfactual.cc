@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "deduce/common/parallel.h"
-#include "deduce/common/strings.h"
 #include "deduce/datalog/symbol.h"
 #include "deduce/engine/counterfactual/attribution.h"
 
@@ -39,18 +38,6 @@ WorldRun RunWorld(const Scenario& scenario,
   w.outcome = std::move(*outcome);
   w.trace = sink.str();
   return w;
-}
-
-std::vector<TraceRecord> ParseTrace(const std::string& jsonl) {
-  std::vector<TraceRecord> out;
-  std::istringstream in(jsonl);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (StrTrim(line).empty()) continue;
-    auto r = TraceRecord::FromJson(line);
-    if (r.ok()) out.push_back(std::move(*r));
-  }
-  return out;
 }
 
 /// fact text -> Fact for every alive tuple of a database.
@@ -113,8 +100,9 @@ StatusOr<CounterfactualResult> Explain(Scenario base, Scenario perturbed,
   result.base_trace = std::move(runs[0].trace);
   result.perturbed_trace = std::move(runs[1].trace);
 
-  std::vector<TraceRecord> base_records = ParseTrace(result.base_trace);
-  std::vector<TraceRecord> pert_records = ParseTrace(result.perturbed_trace);
+  std::vector<TraceRecord> base_records = ParseTraceRecords(result.base_trace);
+  std::vector<TraceRecord> pert_records =
+      ParseTraceRecords(result.perturbed_trace);
 
   ChangeExplanation& diff = result.explanation;
   diff.spec = spec;

@@ -69,9 +69,6 @@ StatusOr<std::unique_ptr<DistributedEngine>> DistributedEngine::CreateFromPlan(
   shared.metrics = options.metrics;
   shared.trace = options.trace;
   shared.provenance = options.provenance;
-  if (options.provenance_capacity != 0) {
-    shared.provenance.ring_capacity = options.provenance_capacity;
-  }
   shared.budget = options.budget;
   if (shared.budget.enabled) {
     // MemSqueeze (chaos axis): the fault plan can shrink every live budget
@@ -174,7 +171,7 @@ StatusOr<std::unique_ptr<DistributedEngine>> DistributedEngine::CreateFromPlan(
 
   // --- timing discipline (Theorem 3 bounds) ---
   const LinkModel& link = network->link();
-  SimTime hop = link.MaxHopDelay(options.max_message_bytes);
+  SimTime hop = link.MaxHopDelay(kMaxMessageBytes);
 
   int max_storage_hops = 0;
   int max_sweep_walk = 0;

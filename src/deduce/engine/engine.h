@@ -11,6 +11,9 @@
 
 namespace deduce {
 
+/// Assumed maximum message size for the τ_s / τ_j delay bounds (bytes).
+constexpr size_t kMaxMessageBytes = 2048;
+
 /// Options for the distributed deductive engine.
 struct EngineOptions {
   PlannerOptions planner;
@@ -18,8 +21,6 @@ struct EngineOptions {
   const BuiltinRegistry* registry = nullptr;
   /// Safety factor applied to the computed τ_s / τ_j bounds.
   double timing_margin = 1.5;
-  /// Assumed maximum message size for delay bounds (bytes).
-  size_t max_message_bytes = 2048;
   /// Finalization wait for derived tuples (§IV-C); -1 = auto (τs + τc).
   SimTime finalize_delay = -1;
   /// End-to-end reliable transport for engine messages (off by default:
@@ -45,12 +46,6 @@ struct EngineOptions {
   /// records, trace-id'd hops/injects, per-predicate latency histograms
   /// (off by default; see provenance.h and docs/OBSERVABILITY.md).
   ProvenanceOptions provenance;
-  /// When nonzero, overrides ProvenanceOptions::ring_capacity — the
-  /// per-node lineage ring size (`dlog --provenance-capacity`). Evictions
-  /// from a too-small ring are counted (metrics "prov.evictions") and
-  /// warned about once per node; `dlog explain` over ring-resident lineage
-  /// then reports "lineage truncated" instead of a silently wrong tree.
-  size_t provenance_capacity = 0;
   /// Per-node resource budgets + load-shedding policy (off by default; see
   /// runtime.h BudgetOptions and docs/FAULTS.md "Overload and shedding").
   /// With budgets off every path below is byte-identical to the

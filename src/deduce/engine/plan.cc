@@ -26,6 +26,21 @@ const char* StoragePolicyToString(StoragePolicy p) {
   return "?";
 }
 
+bool StoragePolicyFromName(const std::string& name, StoragePolicy* out) {
+  if (name == "row" || name.empty()) {
+    *out = StoragePolicy::kRow;
+  } else if (name == "broadcast") {
+    *out = StoragePolicy::kBroadcast;
+  } else if (name == "local") {
+    *out = StoragePolicy::kLocal;
+  } else if (name == "centroid") {
+    *out = StoragePolicy::kCentroid;
+  } else {
+    return false;
+  }
+  return true;
+}
+
 const char* JoinStrategyToString(JoinStrategy s) {
   switch (s) {
     case JoinStrategy::kLocalOnly:

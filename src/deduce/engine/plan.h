@@ -24,6 +24,11 @@ enum class StoragePolicy {
 
 const char* StoragePolicyToString(StoragePolicy p);
 
+/// Parses a default storage policy as `dlog --storage` and scenario files
+/// name it: "row" (also the empty string), "broadcast", "local" or
+/// "centroid". False for anything else.
+bool StoragePolicyFromName(const std::string& name, StoragePolicy* out);
+
 /// How a rule's join computation travels when an update arrives (the GPA
 /// join-computation region).
 enum class JoinStrategy {

@@ -21,9 +21,13 @@ namespace deduce {
 /// counter either. Determinism-tested in tests/provenance_test.cc.
 struct ProvenanceOptions {
   bool enabled = false;
-  /// Per-node lineage ring capacity. The ring models the bounded RAM a mote
-  /// can spend remembering why its tuples exist; older edges are evicted
-  /// but survive in the host-side trace stream when tracing is on.
+  /// Per-node lineage ring capacity (`dlog --provenance-capacity`). The
+  /// ring models the bounded RAM a mote can spend remembering why its
+  /// tuples exist; older edges are evicted but survive in the host-side
+  /// trace stream when tracing is on. Evictions are counted (metrics
+  /// "prov.evictions") and warned about once per node; `dlog explain` over
+  /// ring-resident lineage then reports "lineage truncated" instead of a
+  /// silently wrong tree.
   size_t ring_capacity = 512;
 };
 

@@ -4,6 +4,7 @@
 #include <set>
 #include <utility>
 
+#include "deduce/common/hash.h"
 #include "deduce/engine/runtime.h"
 
 namespace deduce {
@@ -11,13 +12,6 @@ namespace deduce {
 namespace {
 
 constexpr Timestamp kNoWindow = INT64_MAX;
-
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 /// Order-independent replica fingerprint: mixed so that XOR over a set is
 /// sensitive to every TupleId field and to the insert/deletion-mark state.

@@ -13,6 +13,11 @@ namespace {
 
 constexpr Timestamp kNoWindow = INT64_MAX;
 
+/// Retraction-protocol requeue rounds per deletion-critical message; each
+/// round is a full fresh reliable send (1 + max_retries attempts), so
+/// quiescence stays guaranteed even toward a permanently dead destination.
+constexpr int kRetractionRounds = 8;
+
 bool IsFilter(const Literal& lit) {
   return lit.kind == Literal::Kind::kComparison ||
          lit.kind == Literal::Kind::kBuiltin;
@@ -399,7 +404,6 @@ void NodeRuntime::DispatchEngineMessage(NodeContext* ctx,
 // --- reliable transport ----------------------------------------------------
 
 SimTime NodeRuntime::RtoFor(NodeId dest, size_t envelope_bytes) const {
-  if (shared_->transport.rto > 0) return shared_->transport.rto;
   const LinkModel& link = *shared_->link;
   int hops = shared_->routing->HopDistance(id_, dest);
   if (hops < 1) hops = 1;
@@ -483,7 +487,7 @@ void NodeRuntime::SendReliable(NodeContext* ctx, NodeId dest,
   pm.retraction_rounds =
       retraction_rounds >= 0
           ? retraction_rounds
-          : (retraction_on() ? shared_->transport.retraction_rounds : 0);
+          : (retraction_on() ? kRetractionRounds : 0);
   uint64_t key = PendingKey(dest, pm.seq);
   pending_.emplace(key, std::move(pm));
   TransmitPending(ctx, key);
@@ -644,7 +648,7 @@ void NodeRuntime::QueueRetractionRetry(NodeContext* ctx, NodeId dest,
   // Linear backoff on rounds consumed: round k waits 2k worst-case round
   // trips before the fresh send, spacing the retries out far enough for a
   // transient partition or interference burst to clear.
-  int used = shared_->transport.retraction_rounds - rounds_left;
+  int used = kRetractionRounds - rounds_left;
   if (used < 1) used = 1;
   SimTime delay = RtoFor(dest, inner.WireSize() + 32) *
                   static_cast<SimTime>(2 * used);
@@ -1127,70 +1131,50 @@ bool NodeRuntime::NegMatchLocally(SymbolId pred,
   return false;
 }
 
-NodeRuntime::Partial NodeRuntime::FromWire(const PartialWire& w) {
-  Partial p;
-  p.mask = w.matched_mask;
-  for (const auto& [var, term] : w.bindings) p.subst.Bind(var, term);
-  p.support = w.support;
-  return p;
-}
-
-PartialWire NodeRuntime::ToWire(const Partial& p) {
-  PartialWire w;
-  w.matched_mask = p.mask;
-  std::vector<std::pair<SymbolId, Term>> bindings(p.subst.map().begin(),
-                                                  p.subst.map().end());
-  std::sort(bindings.begin(), bindings.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  w.bindings = std::move(bindings);
-  w.support = p.support;
-  return w;
-}
-
-bool NodeRuntime::EvalFilters(const DeltaPlan& delta, Partial* p) {
+bool NodeRuntime::EvalFilters(const DeltaPlan& delta, PartialWire* p) {
   const Rule& rule = shared_->plan.program.rules()[delta.rule_index];
   bool changed = true;
   while (changed) {
     changed = false;
     for (size_t i = 0; i < rule.body.size(); ++i) {
-      if (p->mask & (1u << i)) continue;
+      if (p->matched_mask & (1u << i)) continue;
       const Literal& lit = rule.body[i];
       if (!IsFilter(lit)) continue;
       auto side_bound = [&](const Term& t) {
         std::vector<SymbolId> vars;
         t.CollectVariables(&vars);
         return std::all_of(vars.begin(), vars.end(), [&](SymbolId v) {
-          return p->subst.IsBound(v);
+          return p->bindings.IsBound(v);
         });
       };
       if (lit.kind == Literal::Kind::kComparison) {
         bool lb = side_bound(lit.lhs);
         bool rb = side_bound(lit.rhs);
         if (lb && rb) {
-          StatusOr<Term> lhs = EvalTerm(p->subst.Apply(lit.lhs),
+          StatusOr<Term> lhs = EvalTerm(p->bindings.Apply(lit.lhs),
                                         shared_->registry);
-          StatusOr<Term> rhs = EvalTerm(p->subst.Apply(lit.rhs),
+          StatusOr<Term> rhs = EvalTerm(p->bindings.Apply(lit.rhs),
                                         shared_->registry);
           if (!lhs.ok() || !rhs.ok()) return false;
           if (!EvalCmp(lit.cmp, *lhs, *rhs)) return false;
-          p->mask |= (1u << i);
+          p->matched_mask |= (1u << i);
           changed = true;
         } else if (lit.cmp == CmpOp::kEq && (lb != rb)) {
           StatusOr<Term> src = EvalTerm(
-              p->subst.Apply(lb ? lit.lhs : lit.rhs), shared_->registry);
+              p->bindings.Apply(lb ? lit.lhs : lit.rhs), shared_->registry);
           if (!src.ok() || !src->is_ground()) continue;
           const Term& pattern = lb ? lit.rhs : lit.lhs;
-          if (!SolveMatchTerm(pattern, *src, &p->subst, shared_->registry)) {
+          if (!SolveMatchTerm(pattern, *src, &p->bindings, shared_->registry)) {
             return false;
           }
-          p->mask |= (1u << i);
+          p->matched_mask |= (1u << i);
           changed = true;
         }
       } else {  // builtin
         std::vector<SymbolId> vars;
         lit.atom.CollectVariables(&vars);
         bool bound = std::all_of(vars.begin(), vars.end(), [&](SymbolId v) {
-          return p->subst.IsBound(v);
+          return p->bindings.IsBound(v);
         });
         if (!bound) continue;
         const BuiltinPredicateFn* fn = shared_->registry.FindPredicate(
@@ -1199,7 +1183,7 @@ bool NodeRuntime::EvalFilters(const DeltaPlan& delta, Partial* p) {
         std::vector<Term> args;
         bool args_ok = true;
         for (const Term& a : lit.atom.args) {
-          StatusOr<Term> n = EvalTerm(p->subst.Apply(a), shared_->registry);
+          StatusOr<Term> n = EvalTerm(p->bindings.Apply(a), shared_->registry);
           if (!n.ok()) {
             args_ok = false;
             break;
@@ -1210,7 +1194,7 @@ bool NodeRuntime::EvalFilters(const DeltaPlan& delta, Partial* p) {
         StatusOr<bool> holds = (*fn)(args);
         if (!holds.ok()) return false;
         if ((*holds == lit.builtin_negated)) return false;
-        p->mask |= (1u << i);
+        p->matched_mask |= (1u << i);
         changed = true;
       }
     }
@@ -1219,32 +1203,32 @@ bool NodeRuntime::EvalFilters(const DeltaPlan& delta, Partial* p) {
 }
 
 bool NodeRuntime::IsPositiveComplete(const DeltaPlan& delta,
-                                     const Partial& p) const {
+                                     const PartialWire& p) const {
   const Rule& rule = shared_->plan.program.rules()[delta.rule_index];
   for (size_t i = 0; i < rule.body.size(); ++i) {
     if (rule.body[i].kind != Literal::Kind::kPositive) continue;
-    if (!(p.mask & (1u << i))) return false;
+    if (!(p.matched_mask & (1u << i))) return false;
   }
   return true;
 }
 
 template <typename Emit>
 void NodeRuntime::ProbeReplicas(const Literal& lit, uint32_t index,
-                                const Partial& p, Timestamp update_ts,
+                                const PartialWire& p, Timestamp update_ts,
                                 bool removal, Emit&& emit) const {
   auto rit = replicas_.find(lit.atom.predicate);
   if (rit == replicas_.end()) return;
   Timestamp window = shared_->plan.pred_plan(lit.atom.predicate).window;
-  GroundColumnFilter filter(lit.atom.args, p.subst, shared_->registry);
+  GroundColumnFilter filter(lit.atom.args, p.bindings, shared_->registry);
   for (const auto& [rid, rep] : rit->second) {
     if (!Visible(rep, update_ts, window, removal)) continue;
     if (!filter.Admits(rep.fact.args())) continue;
-    Partial p2 = p;
-    if (!SolveMatchTerms(lit.atom.args, rep.fact.args(), &p2.subst,
+    PartialWire p2 = p;
+    if (!SolveMatchTerms(lit.atom.args, rep.fact.args(), &p2.bindings,
                          shared_->registry)) {
       continue;
     }
-    p2.mask |= (1u << index);
+    p2.matched_mask |= (1u << index);
     p2.support.emplace_back(index, rid);
     emit(std::move(p2));
   }
@@ -1254,7 +1238,7 @@ void NodeRuntime::ProcessPartialsHere(NodeContext* ctx, const DeltaPlan& delta,
                                       bool removal, Timestamp update_ts,
                                       const TupleId& update_id,
                                       int extend_literal, bool at_launch,
-                                      std::vector<Partial>* partials) {
+                                      std::vector<PartialWire>* partials) {
   (void)ctx;
   ScopedSpan span(shared_->metrics, id_, "rule_eval");
   const Rule& rule = shared_->plan.program.rules()[delta.rule_index];
@@ -1280,8 +1264,8 @@ void NodeRuntime::ProcessPartialsHere(NodeContext* ctx, const DeltaPlan& delta,
   };
   bool all_local = extend_literal == -2;
 
-  std::vector<Partial> out;
-  std::vector<Partial> work = std::move(*partials);
+  std::vector<PartialWire> out;
+  std::vector<PartialWire> work = std::move(*partials);
   partials->clear();
   // Per-step rule-eval budget (EngineOptions::budget): bound how many
   // partials one evaluation step may expand. Removal passes are exempt —
@@ -1298,7 +1282,7 @@ void NodeRuntime::ProcessPartialsHere(NodeContext* ctx, const DeltaPlan& delta,
       break;
     }
     ++evaluated;
-    Partial p = std::move(work.back());
+    PartialWire p = std::move(work.back());
     work.pop_back();
     if (!EvalFilters(delta, &p)) continue;
 
@@ -1312,18 +1296,18 @@ void NodeRuntime::ProcessPartialsHere(NodeContext* ctx, const DeltaPlan& delta,
       bool is_pinned = (i == delta.pinned_literal);
       if (lit.kind != Literal::Kind::kNegated) continue;
       if (is_pinned && !check_pinned_neg) continue;
-      if (!is_pinned && (p.mask & (1u << i))) continue;  // already verified
+      if (!is_pinned && (p.matched_mask & (1u << i))) continue;  // verified
       // Only check once ground.
       std::vector<SymbolId> vars;
       lit.atom.CollectVariables(&vars);
       bool bound = std::all_of(vars.begin(), vars.end(), [&](SymbolId v) {
-        return p.subst.IsBound(v);
+        return p.bindings.IsBound(v);
       });
       if (!bound) continue;
       std::vector<Term> args;
       bool ok = true;
       for (const Term& a : lit.atom.args) {
-        StatusOr<Term> n = EvalTerm(p.subst.Apply(a), shared_->registry);
+        StatusOr<Term> n = EvalTerm(p.bindings.Apply(a), shared_->registry);
         if (!n.ok() || !n->is_ground()) {
           ok = false;
           break;
@@ -1340,18 +1324,18 @@ void NodeRuntime::ProcessPartialsHere(NodeContext* ctx, const DeltaPlan& delta,
       // Maskable negations (data fully visible here) are done for good.
       if (!is_pinned &&
           (all_local || (at_launch && launch_ok[i] != 0))) {
-        p.mask |= (1u << i);
+        p.matched_mask |= (1u << i);
       }
     }
     if (dead) continue;
 
     // Extensions.
     for (size_t i = 0; i < rule.body.size(); ++i) {
-      if (p.mask & (1u << i)) continue;
+      if (p.matched_mask & (1u << i)) continue;
       if (!extendable(i)) continue;
       ProbeReplicas(rule.body[i], static_cast<uint32_t>(i), p, update_ts,
                     removal,
-                    [&](Partial p2) { work.push_back(std::move(p2)); });
+                    [&](PartialWire p2) { work.push_back(std::move(p2)); });
     }
     out.push_back(std::move(p));
   }
@@ -1449,10 +1433,7 @@ void NodeRuntime::AdvancePass(NodeContext* ctx, JoinPassWire jp,
     AdvancePass(ctx, std::move(jp), std::move(path));
     return;
   }
-  std::vector<Partial> partials;
-  partials.reserve(jp.partials.size());
-  for (const PartialWire& w : jp.partials) partials.push_back(FromWire(w));
-  EmitComplete(ctx, delta, jp.removal, jp.update_ts, std::move(partials),
+  EmitComplete(ctx, delta, jp.removal, jp.update_ts, std::move(jp.partials),
                jp.degraded);
 }
 
@@ -1474,8 +1455,7 @@ bool NodeRuntime::SendStoreWalk(NodeContext* ctx, StoreWire store,
           StoreWire direct = store;
           direct.final_target = v;
           direct.path_remaining.clear();
-          QueueRetractionRetry(ctx, v, direct.Encode(),
-                               shared_->transport.retraction_rounds - 1);
+          QueueRetractionRetry(ctx, v, direct.Encode(), kRetractionRounds - 1);
         }
         continue;
       }
@@ -1500,12 +1480,12 @@ void NodeRuntime::LaunchJoinPasses(NodeContext* ctx, SymbolId pred,
     const DeltaPlan& delta = shared_->plan.deltas[delta_index];
     const Rule& rule = shared_->plan.program.rules()[delta.rule_index];
     const Literal& pinned = rule.body[delta.pinned_literal];
-    Partial p0;
-    if (!SolveMatchTerms(pinned.atom.args, fact.args(), &p0.subst,
+    PartialWire p0;
+    if (!SolveMatchTerms(pinned.atom.args, fact.args(), &p0.bindings,
                          shared_->registry)) {
       continue;  // constants in the pinned literal do not match this tuple
     }
-    p0.mask = 1u << delta.pinned_literal;
+    p0.matched_mask = 1u << delta.pinned_literal;
     if (pinned.kind == Literal::Kind::kPositive) {
       p0.support.emplace_back(static_cast<uint32_t>(delta.pinned_literal),
                               id);
@@ -1522,7 +1502,7 @@ void NodeRuntime::LaunchJoinPasses(NodeContext* ctx, SymbolId pred,
     }
     ++shared_->stats.join_passes;
 
-    std::vector<Partial> partials = {std::move(p0)};
+    std::vector<PartialWire> partials = {std::move(p0)};
     if (delta.strategy != JoinStrategy::kLocalRoute &&
         delta.strategy != JoinStrategy::kCentroid) {
       // Resolve launch-evaluable literals here.
@@ -1539,11 +1519,11 @@ void NodeRuntime::LaunchJoinPasses(NodeContext* ctx, SymbolId pred,
     jp.update_id = id;
     jp.pass_index = 0;
     jp.degraded = repair_.degraded() || ShedTaints(DeltaHead(delta));
-    for (const Partial& p : partials) jp.partials.push_back(ToWire(p));
+    jp.partials = std::move(partials);
 
     switch (delta.strategy) {
       case JoinStrategy::kLocalOnly:
-        EmitComplete(ctx, delta, removal, update_ts, std::move(partials),
+        EmitComplete(ctx, delta, removal, update_ts, std::move(jp.partials),
                      jp.degraded);
         break;
       case JoinStrategy::kCentroid: {
@@ -1595,17 +1575,14 @@ void NodeRuntime::HandleJoinPass(NodeContext* ctx, JoinPassWire jp) {
 void NodeRuntime::RunPassHere(NodeContext* ctx, JoinPassWire jp) {
   ScopedSpan span(shared_->metrics, id_, "sweep_pass");
   const DeltaPlan& delta = shared_->plan.deltas[jp.delta_index];
-  std::vector<Partial> partials;
-  partials.reserve(jp.partials.size());
-  for (const PartialWire& w : jp.partials) partials.push_back(FromWire(w));
 
   if (delta.strategy == JoinStrategy::kCentroid ||
       delta.strategy == JoinStrategy::kLocalOnly) {
     // All data is local: extend everything, then emit.
     ProcessPartialsHere(ctx, delta, jp.removal, jp.update_ts, jp.update_id,
                         /*extend_literal=*/-2, /*at_launch=*/false,
-                        &partials);
-    EmitComplete(ctx, delta, jp.removal, jp.update_ts, std::move(partials),
+                        &jp.partials);
+    EmitComplete(ctx, delta, jp.removal, jp.update_ts, std::move(jp.partials),
                  jp.degraded);
     return;
   }
@@ -1620,28 +1597,23 @@ void NodeRuntime::RunPassHere(NodeContext* ctx, JoinPassWire jp) {
     extend_literal = INT32_MAX;  // single-pass negation sweep
   }
   ProcessPartialsHere(ctx, delta, jp.removal, jp.update_ts, jp.update_id,
-                      extend_literal, /*at_launch=*/false, &partials);
+                      extend_literal, /*at_launch=*/false, &jp.partials);
 
-  if (partials.empty()) return;  // nothing left to carry
+  if (jp.partials.empty()) return;  // nothing left to carry
 
-  JoinPassWire next = std::move(jp);
-  next.partials.clear();
-  for (const Partial& p : partials) next.partials.push_back(ToWire(p));
-  std::vector<NodeId> visit = std::move(next.path_remaining);
-  next.path_remaining.clear();
+  std::vector<NodeId> visit = std::move(jp.path_remaining);
+  jp.path_remaining.clear();
   if (transport_on()) {
     // Drop/replace sweep nodes that became suspect since the pass started.
     visit = RepairVisitList(delta, visit);
   }
-  AdvancePass(ctx, std::move(next), std::move(visit));
+  AdvancePass(ctx, std::move(jp), std::move(visit));
 }
 
 void NodeRuntime::RunRouteStep(NodeContext* ctx, JoinPassWire jp) {
   const DeltaPlan& delta = shared_->plan.deltas[jp.delta_index];
   const Rule& rule = shared_->plan.program.rules()[delta.rule_index];
-  std::vector<Partial> partials;
-  partials.reserve(jp.partials.size());
-  for (const PartialWire& w : jp.partials) partials.push_back(FromWire(w));
+  std::vector<PartialWire> partials = std::move(jp.partials);
 
   size_t step_idx = jp.pass_index;
   while (step_idx < delta.steps.size() && !partials.empty()) {
@@ -1650,10 +1622,10 @@ void NodeRuntime::RunRouteStep(NodeContext* ctx, JoinPassWire jp) {
 
     if (step.where == RouteStep::Where::kAtArgNode) {
       // Partition by target node; keep ours, forward the rest.
-      std::map<NodeId, std::vector<Partial>> groups;
-      std::vector<Partial> mine;
-      for (Partial& p : partials) {
-        Term t = p.subst.Apply(lit.atom.args[step.arg]);
+      std::map<NodeId, std::vector<PartialWire>> groups;
+      std::vector<PartialWire> mine;
+      for (PartialWire& p : partials) {
+        Term t = p.bindings.Apply(lit.atom.args[step.arg]);
         StatusOr<Term> n = EvalTerm(t, shared_->registry);
         if (n.ok()) t = std::move(n).value();
         if (!t.is_constant() || !t.value().is_int()) {
@@ -1675,8 +1647,7 @@ void NodeRuntime::RunRouteStep(NodeContext* ctx, JoinPassWire jp) {
         JoinPassWire next = jp;
         next.pass_index = static_cast<uint32_t>(step_idx);
         next.final_target = target;
-        next.partials.clear();
-        for (const Partial& p : group) next.partials.push_back(ToWire(p));
+        next.partials = std::move(group);
         ++shared_->stats.pass_messages;
         SendEngineMessage(ctx, target, next.Encode());
       }
@@ -1685,12 +1656,12 @@ void NodeRuntime::RunRouteStep(NodeContext* ctx, JoinPassWire jp) {
     }
 
     // Evaluate the step's literal locally.
-    std::vector<Partial> out;
-    for (Partial& p : partials) {
+    std::vector<PartialWire> out;
+    for (PartialWire& p : partials) {
       if (!EvalFilters(delta, &p)) continue;
       if (lit.kind == Literal::Kind::kPositive) {
         ProbeReplicas(lit, static_cast<uint32_t>(step.literal), p,
-                      jp.update_ts, jp.removal, [&](Partial p2) {
+                      jp.update_ts, jp.removal, [&](PartialWire p2) {
                         if (EvalFilters(delta, &p2)) {
                           out.push_back(std::move(p2));
                         }
@@ -1698,14 +1669,14 @@ void NodeRuntime::RunRouteStep(NodeContext* ctx, JoinPassWire jp) {
       } else {  // negated step
         if (jp.removal) {
           // Removal passes skip negation filters (see ProcessPartialsHere).
-          p.mask |= (1u << step.literal);
+          p.matched_mask |= (1u << step.literal);
           out.push_back(std::move(p));
           continue;
         }
         std::vector<Term> args;
         bool ok = true;
         for (const Term& a : lit.atom.args) {
-          StatusOr<Term> n = EvalTerm(p.subst.Apply(a), shared_->registry);
+          StatusOr<Term> n = EvalTerm(p.bindings.Apply(a), shared_->registry);
           if (!n.ok() || !n->is_ground()) {
             ok = false;
             break;
@@ -1720,7 +1691,7 @@ void NodeRuntime::RunRouteStep(NodeContext* ctx, JoinPassWire jp) {
                             std::nullopt)) {
           continue;  // blocked
         }
-        p.mask |= (1u << step.literal);
+        p.matched_mask |= (1u << step.literal);
         out.push_back(std::move(p));
       }
     }
@@ -1739,16 +1710,17 @@ void NodeRuntime::RunRouteStep(NodeContext* ctx, JoinPassWire jp) {
 
 void NodeRuntime::EmitComplete(NodeContext* ctx, const DeltaPlan& delta,
                                bool removal, Timestamp update_ts,
-                               std::vector<Partial> partials, bool degraded) {
+                               std::vector<PartialWire> partials,
+                               bool degraded) {
   const Rule& rule = shared_->plan.program.rules()[delta.rule_index];
   const auto& sweep_neg =
       shared_->sweep_checked_negation[&delta - shared_->plan.deltas.data()];
-  for (Partial& p : partials) {
+  for (PartialWire& p : partials) {
     if (!EvalFilters(delta, &p)) continue;
     if (!IsPositiveComplete(delta, p)) continue;
     bool ok = true;
     for (size_t i = 0; i < rule.body.size() && ok; ++i) {
-      if (p.mask & (1u << i)) continue;
+      if (p.matched_mask & (1u << i)) continue;
       if (i == delta.pinned_literal) continue;
       const Literal& lit = rule.body[i];
       if (lit.kind == Literal::Kind::kNegated) {
@@ -1768,7 +1740,7 @@ void NodeRuntime::EmitComplete(NodeContext* ctx, const DeltaPlan& delta,
     std::vector<Term> args;
     bool ground = true;
     for (const Term& a : rule.head.args) {
-      StatusOr<Term> n = EvalTerm(p.subst.Apply(a), shared_->registry);
+      StatusOr<Term> n = EvalTerm(p.bindings.Apply(a), shared_->registry);
       if (!n.ok() || !n->is_ground()) {
         ground = false;
         break;
@@ -1819,12 +1791,12 @@ void NodeRuntime::LaunchAggregates(NodeContext* ctx, SymbolId pred,
     const AggregatePlan& plan = shared_->plan.aggregates[plan_index];
     const Rule& rule = shared_->plan.program.rules()[plan.rule_index];
     const Literal& source = rule.body[plan.source_literal];
-    Partial p;
-    if (!SolveMatchTerms(source.atom.args, fact.args(), &p.subst,
+    PartialWire p;
+    if (!SolveMatchTerms(source.atom.args, fact.args(), &p.bindings,
                          shared_->registry)) {
       continue;
     }
-    p.mask = 1u << plan.source_literal;
+    p.matched_mask = 1u << plan.source_literal;
     DeltaPlan filter_plan;  // EvalFilters only consults the rule index
     filter_plan.rule_index = plan.rule_index;
     filter_plan.pinned_literal = plan.source_literal;
@@ -1837,7 +1809,7 @@ void NodeRuntime::LaunchAggregates(NodeContext* ctx, SymbolId pred,
     for (size_t i = 0; i < rule.head.args.size(); ++i) {
       if (i == plan.agg_position) continue;
       StatusOr<Term> n =
-          EvalTerm(p.subst.Apply(rule.head.args[i]), shared_->registry);
+          EvalTerm(p.bindings.Apply(rule.head.args[i]), shared_->registry);
       if (!n.ok() || !n->is_ground()) {
         ok = false;
         break;
@@ -1845,7 +1817,7 @@ void NodeRuntime::LaunchAggregates(NodeContext* ctx, SymbolId pred,
       aw.group.push_back(std::move(n).value());
     }
     StatusOr<Term> value =
-        EvalTerm(p.subst.Apply(plan.input), shared_->registry);
+        EvalTerm(p.bindings.Apply(plan.input), shared_->registry);
     if (!ok || !value.ok() || !value->is_ground()) {
       Fault("aggregate group/value not ground for rule " + rule.ToString());
       continue;

@@ -138,10 +138,6 @@ struct EngineStats {
 struct TransportOptions {
   bool reliable = false;
   int max_retries = 4;
-  /// Initial retransmit timeout; -1 = auto, computed per message from the
-  /// link model's worst-case hop delay and the hop distance so that a
-  /// loss-free run never retransmits spuriously.
-  SimTime rto = -1;
   double rto_backoff = 2.0;  ///< RTO multiplier per retransmission.
   /// Ceiling on the backed-off RTO. -1 = auto: 64x the message's initial
   /// RTO — beyond the reach of the default retry budget (2^4 < 64), so
@@ -164,10 +160,6 @@ struct TransportOptions {
   /// suspected down, and numbers tombstones by deletion timestamp in the
   /// anti-entropy digests. Off by default: requires `reliable`.
   bool retraction = false;
-  /// Requeue rounds per deletion-critical message; each round is a full
-  /// fresh reliable send (1 + max_retries attempts), so quiescence stays
-  /// guaranteed even toward a permanently dead destination.
-  int retraction_rounds = 8;
 };
 
 /// What a node does when a resource budget is exceeded (BudgetOptions).
@@ -475,13 +467,6 @@ class NodeRuntime : public NodeApp {
     std::set<Derivation> anti;
   };
 
-  /// In-memory partial result (wire form: PartialWire).
-  struct Partial {
-    uint32_t mask = 0;
-    Subst subst;
-    std::vector<std::pair<uint32_t, TupleId>> support;
-  };
-
   /// An origin-side transmission awaiting its end-to-end ack.
   struct PendingMsg {
     NodeId dest = kNoNode;
@@ -589,19 +574,19 @@ class NodeRuntime : public NodeApp {
   void ProcessPartialsHere(NodeContext* ctx, const DeltaPlan& delta,
                            bool removal, Timestamp update_ts,
                            const TupleId& update_id, int extend_literal,
-                           bool at_launch, std::vector<Partial>* partials);
+                           bool at_launch, std::vector<PartialWire>* partials);
 
   /// The join probe of sweep and route steps: extends `p` by positive body
   /// literal `lit` (index `index`) with every visible local replica of its
   /// predicate that matches, in TupleId order, handing each extension to
   /// `emit`. A GroundColumnFilter rejects rows before `p` is copied.
   template <typename Emit>
-  void ProbeReplicas(const Literal& lit, uint32_t index, const Partial& p,
+  void ProbeReplicas(const Literal& lit, uint32_t index, const PartialWire& p,
                      Timestamp update_ts, bool removal, Emit&& emit) const;
 
   /// Evaluates ready comparisons/builtins; returns false if the partial
   /// dies. Marks evaluated literals in the mask.
-  bool EvalFilters(const DeltaPlan& delta, Partial* p);
+  bool EvalFilters(const DeltaPlan& delta, PartialWire* p);
 
   /// True if some visible replica of `pred` matches `ground_atom_args`
   /// (the NOT check). `exclude` skips the tuple being deleted (§IV-B).
@@ -609,9 +594,9 @@ class NodeRuntime : public NodeApp {
                        Timestamp update_ts,
                        const std::optional<TupleId>& exclude) const;
 
-  bool IsPositiveComplete(const DeltaPlan& delta, const Partial& p) const;
+  bool IsPositiveComplete(const DeltaPlan& delta, const PartialWire& p) const;
   void EmitComplete(NodeContext* ctx, const DeltaPlan& delta, bool removal,
-                    Timestamp update_ts, std::vector<Partial> partials,
+                    Timestamp update_ts, std::vector<PartialWire> partials,
                     bool degraded);
 
   // --- incremental aggregates (AggregatePlan) ---
@@ -673,9 +658,6 @@ class NodeRuntime : public NodeApp {
   /// predicate): generated in (τ - w, τ], not deleted before τ.
   bool Visible(const Replica& r, Timestamp update_ts, Timestamp window,
                bool for_removal = false) const;
-
-  static Partial FromWire(const PartialWire& w);
-  static PartialWire ToWire(const Partial& p);
 
   EngineShared* shared_;
   NodeId id_;

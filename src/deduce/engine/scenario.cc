@@ -229,21 +229,6 @@ StatusOr<ScenarioEvent> ParseEventLine(const std::string& line, int lineno) {
   return ev;
 }
 
-bool StorageFromName(const std::string& name, StoragePolicy* out) {
-  if (name == "row" || name.empty()) {
-    *out = StoragePolicy::kRow;
-  } else if (name == "broadcast") {
-    *out = StoragePolicy::kBroadcast;
-  } else if (name == "local") {
-    *out = StoragePolicy::kLocal;
-  } else if (name == "centroid") {
-    *out = StoragePolicy::kCentroid;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------
@@ -431,7 +416,7 @@ StatusOr<Scenario> Scenario::FromText(const std::string& text) {
     }
   }
   StoragePolicy ignored;
-  if (!StorageFromName(s.storage, &ignored)) {
+  if (!StoragePolicyFromName(s.storage, &ignored)) {
     return StatusOr<Scenario>(Status::InvalidArgument(
         "scenario: unknown storage '" + s.storage + "'"));
   }
@@ -615,7 +600,8 @@ StatusOr<ScenarioOutcome> RunScenario(const Scenario& scenario,
                           : scenario.shed_policy == "reject"
                               ? ShedPolicy::kRejectInjection
                               : ShedPolicy::kShedNewest;
-  if (!StorageFromName(scenario.storage, &options.planner.default_storage)) {
+  if (!StoragePolicyFromName(scenario.storage,
+                             &options.planner.default_storage)) {
     return StatusOr<ScenarioOutcome>(
         Status::InvalidArgument("unknown storage " + scenario.storage));
   }
@@ -623,7 +609,9 @@ StatusOr<ScenarioOutcome> RunScenario(const Scenario& scenario,
   // simulated counter (provenance.h), and metrics/trace are pure sinks, so
   // a replay with these on stays bit-exact with the plain replay.
   options.provenance.enabled = run.provenance;
-  options.provenance_capacity = run.provenance_capacity;
+  if (run.provenance_capacity != 0) {
+    options.provenance.ring_capacity = run.provenance_capacity;
+  }
   options.metrics = run.metrics;
   options.trace = run.trace;
   LinkModel link;

@@ -1,6 +1,7 @@
 #include "deduce/engine/wire.h"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "deduce/net/codec.h"
 
@@ -8,444 +9,358 @@ namespace deduce {
 
 namespace {
 
-void WriteNodeList(PayloadWriter* w, const std::vector<NodeId>& nodes) {
-  w->WriteUint(nodes.size());
-  for (NodeId n : nodes) w->WriteInt(n);
+// Each wire struct has one field list, `Fields(io, w)`, that names its
+// fields in wire order. FieldWriter runs it for Encode and FieldReader for
+// Decode, so the two cannot drift apart.
+
+/// Encodes fields through a PayloadWriter.
+class FieldWriter {
+ public:
+  static constexpr bool kEncodes = true;
+
+  void Int(int64_t v) { w_.WriteInt(v); }
+  void Uint(uint64_t v) { w_.WriteUint(v); }
+  void Bool(bool v) { w_.WriteUint(v ? 1 : 0); }
+  void Symbol(SymbolId s) { w_.WriteSymbol(s); }
+  void Term(const deduce::Term& t) { w_.WriteTerm(t); }
+  void Fact(const deduce::Fact& f) { w_.WriteFact(f); }
+  void Id(const TupleId& id) { w_.WriteTupleId(id); }
+  void Bytes(const std::vector<uint8_t>& b) {
+    w_.WriteBytes(
+        std::string_view(reinterpret_cast<const char*>(b.data()), b.size()));
+  }
+  /// An optional last field: written only when nonzero.
+  void TrailingUint(uint64_t v) {
+    if (v != 0) w_.WriteUint(v);
+  }
+  /// A count, then each item through `each(io, item)`.
+  template <typename T, typename Each>
+  void List(const std::vector<T>& items, Each each) {
+    w_.WriteUint(items.size());
+    for (const T& item : items) each(*this, item);
+  }
+  /// A count, then (variable, term) pairs in ascending variable id.
+  void Bindings(const Subst& s) {
+    w_.WriteUint(s.size());
+    for (const auto& [var, term] : s.bindings()) {
+      w_.WriteSymbol(var);
+      w_.WriteTerm(term);
+    }
+  }
+
+  Message Finish(uint16_t type) {
+    Message m;
+    m.type = type;
+    m.payload = w_.Take();
+    return m;
+  }
+
+ private:
+  PayloadWriter w_;
+};
+
+/// Decodes fields through a PayloadReader. The first failed read is kept
+/// and every later read is skipped, so a field list needs no checks of its
+/// own; `status()` reports the outcome.
+class FieldReader {
+ public:
+  static constexpr bool kEncodes = false;
+
+  explicit FieldReader(const std::vector<uint8_t>& payload) : r_(payload) {}
+
+  template <typename T>
+  void Int(T& v) {
+    int64_t x = 0;
+    if (Get<&PayloadReader::ReadInt>(&x)) v = static_cast<T>(x);
+  }
+  template <typename T>
+  void Uint(T& v) {
+    uint64_t x = 0;
+    if (Get<&PayloadReader::ReadUint>(&x)) v = static_cast<T>(x);
+  }
+  void Bool(bool& v) {
+    uint64_t x = 0;
+    if (Get<&PayloadReader::ReadUint>(&x)) v = x != 0;
+  }
+  void Symbol(SymbolId& s) { Get<&PayloadReader::ReadSymbol>(&s); }
+  void Term(deduce::Term& t) { Get<&PayloadReader::ReadTerm>(&t); }
+  void Fact(deduce::Fact& f) { Get<&PayloadReader::ReadFact>(&f); }
+  void Id(TupleId& id) { Get<&PayloadReader::ReadTupleId>(&id); }
+  void Bytes(std::vector<uint8_t>& b) {
+    std::string s;
+    if (Get<&PayloadReader::ReadBytes>(&s)) b.assign(s.begin(), s.end());
+  }
+  /// Read only when bytes remain (frames without it decode as 0).
+  template <typename T>
+  void TrailingUint(T& v) {
+    if (status_.ok() && r_.remaining() > 0) Uint(v);
+  }
+  template <typename T, typename Each>
+  void List(std::vector<T>& items, Each each) {
+    uint64_t n = Count();
+    items.reserve(n);
+    for (uint64_t i = 0; i < n && status_.ok(); ++i) {
+      each(*this, items.emplace_back());
+    }
+  }
+  /// Binds through Subst::Bind: a repeated variable keeps its first term.
+  /// The term comes straight from the codec, not through a default Term,
+  /// which would cost two more refcount updates per binding.
+  void Bindings(Subst& s) {
+    uint64_t n = Count();
+    for (uint64_t i = 0; i < n && status_.ok(); ++i) {
+      SymbolId var = 0;
+      Symbol(var);
+      if (!status_.ok()) return;
+      StatusOr<deduce::Term> term = r_.ReadTerm();
+      if (!term.ok()) {
+        status_ = term.status();
+        return;
+      }
+      s.Bind(var, *term);
+    }
+  }
+
+  const Status& status() const { return status_; }
+
+ private:
+  template <auto Read, typename T>
+  bool Get(T* out) {
+    if (!status_.ok()) return false;
+    auto got = (r_.*Read)();
+    if (!got.ok()) {
+      status_ = got.status();
+      return false;
+    }
+    *out = std::move(got).value();
+    return true;
+  }
+
+  /// A list length; every element takes at least one byte, so a length
+  /// beyond the bytes left is refused before anything is allocated.
+  uint64_t Count() {
+    uint64_t n = 0;
+    if (!Get<&PayloadReader::ReadUint>(&n)) return 0;
+    if (n > r_.remaining()) {
+      status_ = Status::InvalidArgument("list length exceeds payload");
+      return 0;
+    }
+    return n;
+  }
+
+  PayloadReader r_;
+  Status status_;
+};
+
+/// The struct a field list sees: const when encoding, mutable when
+/// decoding.
+template <typename Io, typename T>
+using FieldsOf = std::conditional_t<Io::kEncodes, const T&, T&>;
+
+constexpr auto kNodeIds = [](auto& io, auto& node) { io.Int(node); };
+
+template <typename Io>
+void Fields(Io& io, FieldsOf<Io, StoreWire> w) {
+  io.Int(w.final_target);
+  io.Symbol(w.pred);
+  io.Fact(w.fact);
+  io.Id(w.id);
+  io.Int(w.gen_ts);
+  io.Bool(w.deletion);
+  io.Int(w.del_ts);
+  io.List(w.path_remaining, kNodeIds);
+  io.Int(w.flood_ttl);
 }
 
-StatusOr<std::vector<NodeId>> ReadNodeList(PayloadReader* r) {
-  DEDUCE_ASSIGN_OR_RETURN(uint64_t n, r->ReadUint());
-  if (n > r->remaining() + 1) {
-    return StatusOr<std::vector<NodeId>>(
-        Status::InvalidArgument("node list length exceeds payload"));
-  }
-  std::vector<NodeId> out;
-  out.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    DEDUCE_ASSIGN_OR_RETURN(int64_t v, r->ReadInt());
-    out.push_back(static_cast<NodeId>(v));
-  }
+template <typename Io>
+void Fields(Io& io, FieldsOf<Io, JoinPassWire> w) {
+  io.Int(w.final_target);
+  io.Uint(w.delta_index);
+  io.Bool(w.removal);
+  io.Int(w.update_ts);
+  io.Id(w.update_id);
+  io.Uint(w.pass_index);
+  io.List(w.path_remaining, kNodeIds);
+  io.List(w.partials, [](auto& io, auto& p) {
+    io.Uint(p.matched_mask);
+    io.Bindings(p.bindings);
+    io.List(p.support, [](auto& io, auto& s) {
+      io.Uint(s.first);
+      io.Id(s.second);
+    });
+  });
+  io.Bool(w.degraded);
+}
+
+template <typename Io>
+void Fields(Io& io, FieldsOf<Io, ResultWire> w) {
+  io.Int(w.final_target);
+  io.Symbol(w.pred);
+  io.Fact(w.fact);
+  io.Bool(w.removal);
+  io.Int(w.rule_id);
+  io.List(w.support, [](auto& io, auto& id) { io.Id(id); });
+  io.Int(w.update_ts);
+  io.Bool(w.degraded);
+  io.TrailingUint(w.tenant);
+}
+
+template <typename Io>
+void Fields(Io& io, FieldsOf<Io, AggWire> w) {
+  io.Int(w.final_target);
+  io.Uint(w.plan_index);
+  io.Bool(w.removal);
+  io.List(w.group, [](auto& io, auto& t) { io.Term(t); });
+  io.Term(w.value);
+  io.Id(w.contributor);
+  io.Int(w.update_ts);
+}
+
+template <typename Io>
+void Fields(Io& io, FieldsOf<Io, AckWire> w) {
+  io.Int(w.final_target);
+  io.Int(w.acker);
+  io.Uint(w.seq);
+}
+
+template <typename Io>
+void Fields(Io& io, FieldsOf<Io, ReliableWire> w) {
+  io.Int(w.final_target);
+  io.Int(w.origin);
+  io.Uint(w.seq);
+  io.Uint(w.inner_type);
+  io.Bytes(w.inner_payload);
+}
+
+template <typename Io>
+void Fields(Io& io, FieldsOf<Io, DigestRequestWire> w) {
+  io.Int(w.final_target);
+  io.Int(w.requester);
+  io.Uint(w.round);
+  io.Bool(w.anti_entropy);
+}
+
+template <typename Io>
+void Fields(Io& io, FieldsOf<Io, DigestReplyWire> w) {
+  io.Int(w.final_target);
+  io.Int(w.replier);
+  io.Uint(w.round);
+  io.List(w.digests, [](auto& io, auto& d) {
+    io.Symbol(d.pred);
+    io.Uint(d.count);
+    io.Uint(d.fingerprint);
+  });
+}
+
+template <typename Io>
+void Fields(Io& io, FieldsOf<Io, RepairPullWire> w) {
+  io.Int(w.final_target);
+  io.Int(w.requester);
+  io.Uint(w.round);
+  io.Bool(w.reverse);
+  io.List(w.preds, [](auto& io, auto& p) { io.Symbol(p); });
+  io.List(w.known, [](auto& io, auto& k) {
+    io.Symbol(k.pred);
+    io.Id(k.id);
+    io.Bool(k.have_insert);
+    io.Bool(k.has_del);
+  });
+}
+
+template <typename Io>
+void Fields(Io& io, FieldsOf<Io, RepairPushWire> w) {
+  io.Int(w.final_target);
+  io.Int(w.replier);
+  io.Uint(w.round);
+  io.List(w.entries, [](auto& io, auto& e) {
+    io.Symbol(e.pred);
+    io.Fact(e.fact);
+    io.Id(e.id);
+    io.Int(e.gen_ts);
+    io.Bool(e.have_insert);
+    io.Bool(e.has_del);
+    io.Int(e.del_ts);
+  });
+}
+
+template <typename W>
+Message EncodeFields(const W& w, uint16_t type) {
+  FieldWriter io;
+  Fields(io, w);
+  return io.Finish(type);
+}
+
+template <typename W>
+StatusOr<W> DecodeFields(const Message& msg) {
+  FieldReader io(msg.payload);
+  W out;
+  Fields(io, out);
+  if (!io.status().ok()) return StatusOr<W>(io.status());
   return out;
 }
 
 }  // namespace
 
-Message StoreWire::Encode() const {
-  PayloadWriter w;
-  w.WriteInt(final_target);
-  w.WriteSymbol(pred);
-  w.WriteFact(fact);
-  w.WriteTupleId(id);
-  w.WriteInt(gen_ts);
-  w.WriteUint(deletion ? 1 : 0);
-  w.WriteInt(del_ts);
-  WriteNodeList(&w, path_remaining);
-  w.WriteInt(flood_ttl);
-  Message m;
-  m.type = kStoreMsg;
-  m.payload = w.Take();
-  return m;
-}
-
+Message StoreWire::Encode() const { return EncodeFields(*this, kStoreMsg); }
 StatusOr<StoreWire> StoreWire::Decode(const Message& msg) {
-  PayloadReader r(msg.payload);
-  StoreWire out;
-  DEDUCE_ASSIGN_OR_RETURN(int64_t target, r.ReadInt());
-  out.final_target = static_cast<NodeId>(target);
-  DEDUCE_ASSIGN_OR_RETURN(out.pred, r.ReadSymbol());
-  DEDUCE_ASSIGN_OR_RETURN(out.fact, r.ReadFact());
-  DEDUCE_ASSIGN_OR_RETURN(out.id, r.ReadTupleId());
-  DEDUCE_ASSIGN_OR_RETURN(out.gen_ts, r.ReadInt());
-  DEDUCE_ASSIGN_OR_RETURN(uint64_t del, r.ReadUint());
-  out.deletion = del != 0;
-  DEDUCE_ASSIGN_OR_RETURN(out.del_ts, r.ReadInt());
-  DEDUCE_ASSIGN_OR_RETURN(out.path_remaining, ReadNodeList(&r));
-  DEDUCE_ASSIGN_OR_RETURN(int64_t ttl, r.ReadInt());
-  out.flood_ttl = static_cast<int32_t>(ttl);
-  return out;
+  return DecodeFields<StoreWire>(msg);
 }
 
 Message JoinPassWire::Encode() const {
-  PayloadWriter w;
-  w.WriteInt(final_target);
-  w.WriteUint(delta_index);
-  w.WriteUint(removal ? 1 : 0);
-  w.WriteInt(update_ts);
-  w.WriteTupleId(update_id);
-  w.WriteUint(pass_index);
-  WriteNodeList(&w, path_remaining);
-  w.WriteUint(partials.size());
-  for (const PartialWire& p : partials) {
-    w.WriteUint(p.matched_mask);
-    w.WriteUint(p.bindings.size());
-    for (const auto& [var, term] : p.bindings) {
-      w.WriteSymbol(var);
-      w.WriteTerm(term);
-    }
-    w.WriteUint(p.support.size());
-    for (const auto& [lit, id] : p.support) {
-      w.WriteUint(lit);
-      w.WriteTupleId(id);
-    }
-  }
-  w.WriteUint(degraded ? 1 : 0);
-  Message m;
-  m.type = kJoinPassMsg;
-  m.payload = w.Take();
-  return m;
+  return EncodeFields(*this, kJoinPassMsg);
 }
-
 StatusOr<JoinPassWire> JoinPassWire::Decode(const Message& msg) {
-  PayloadReader r(msg.payload);
-  JoinPassWire out;
-  DEDUCE_ASSIGN_OR_RETURN(int64_t target, r.ReadInt());
-  out.final_target = static_cast<NodeId>(target);
-  DEDUCE_ASSIGN_OR_RETURN(uint64_t delta, r.ReadUint());
-  out.delta_index = static_cast<uint32_t>(delta);
-  DEDUCE_ASSIGN_OR_RETURN(uint64_t removal, r.ReadUint());
-  out.removal = removal != 0;
-  DEDUCE_ASSIGN_OR_RETURN(out.update_ts, r.ReadInt());
-  DEDUCE_ASSIGN_OR_RETURN(out.update_id, r.ReadTupleId());
-  DEDUCE_ASSIGN_OR_RETURN(uint64_t pass, r.ReadUint());
-  out.pass_index = static_cast<uint32_t>(pass);
-  DEDUCE_ASSIGN_OR_RETURN(out.path_remaining, ReadNodeList(&r));
-  DEDUCE_ASSIGN_OR_RETURN(uint64_t n, r.ReadUint());
-  for (uint64_t i = 0; i < n; ++i) {
-    PartialWire p;
-    DEDUCE_ASSIGN_OR_RETURN(uint64_t mask, r.ReadUint());
-    p.matched_mask = static_cast<uint32_t>(mask);
-    DEDUCE_ASSIGN_OR_RETURN(uint64_t nb, r.ReadUint());
-    for (uint64_t b = 0; b < nb; ++b) {
-      DEDUCE_ASSIGN_OR_RETURN(SymbolId var, r.ReadSymbol());
-      DEDUCE_ASSIGN_OR_RETURN(Term term, r.ReadTerm());
-      p.bindings.emplace_back(var, std::move(term));
-    }
-    DEDUCE_ASSIGN_OR_RETURN(uint64_t ns, r.ReadUint());
-    for (uint64_t s = 0; s < ns; ++s) {
-      DEDUCE_ASSIGN_OR_RETURN(uint64_t lit, r.ReadUint());
-      DEDUCE_ASSIGN_OR_RETURN(TupleId id, r.ReadTupleId());
-      p.support.emplace_back(static_cast<uint32_t>(lit), id);
-    }
-    out.partials.push_back(std::move(p));
-  }
-  DEDUCE_ASSIGN_OR_RETURN(uint64_t degraded, r.ReadUint());
-  out.degraded = degraded != 0;
-  return out;
+  return DecodeFields<JoinPassWire>(msg);
 }
 
-Message ResultWire::Encode() const {
-  PayloadWriter w;
-  w.WriteInt(final_target);
-  w.WriteSymbol(pred);
-  w.WriteFact(fact);
-  w.WriteUint(removal ? 1 : 0);
-  w.WriteInt(rule_id);
-  w.WriteUint(support.size());
-  for (const TupleId& id : support) w.WriteTupleId(id);
-  w.WriteInt(update_ts);
-  w.WriteUint(degraded ? 1 : 0);
-  if (tenant != 0) w.WriteUint(tenant);
-  Message m;
-  m.type = kResultMsg;
-  m.payload = w.Take();
-  return m;
-}
-
+Message ResultWire::Encode() const { return EncodeFields(*this, kResultMsg); }
 StatusOr<ResultWire> ResultWire::Decode(const Message& msg) {
-  PayloadReader r(msg.payload);
-  ResultWire out;
-  DEDUCE_ASSIGN_OR_RETURN(int64_t target, r.ReadInt());
-  out.final_target = static_cast<NodeId>(target);
-  DEDUCE_ASSIGN_OR_RETURN(out.pred, r.ReadSymbol());
-  DEDUCE_ASSIGN_OR_RETURN(out.fact, r.ReadFact());
-  DEDUCE_ASSIGN_OR_RETURN(uint64_t removal, r.ReadUint());
-  out.removal = removal != 0;
-  DEDUCE_ASSIGN_OR_RETURN(int64_t rule, r.ReadInt());
-  out.rule_id = static_cast<int32_t>(rule);
-  DEDUCE_ASSIGN_OR_RETURN(uint64_t n, r.ReadUint());
-  for (uint64_t i = 0; i < n; ++i) {
-    DEDUCE_ASSIGN_OR_RETURN(TupleId id, r.ReadTupleId());
-    out.support.push_back(id);
-  }
-  DEDUCE_ASSIGN_OR_RETURN(out.update_ts, r.ReadInt());
-  DEDUCE_ASSIGN_OR_RETURN(uint64_t degraded, r.ReadUint());
-  out.degraded = degraded != 0;
-  if (r.remaining() > 0) {
-    DEDUCE_ASSIGN_OR_RETURN(uint64_t tenant, r.ReadUint());
-    out.tenant = static_cast<uint32_t>(tenant);
-  }
-  return out;
+  return DecodeFields<ResultWire>(msg);
 }
 
-Message AggWire::Encode() const {
-  PayloadWriter w;
-  w.WriteInt(final_target);
-  w.WriteUint(plan_index);
-  w.WriteUint(removal ? 1 : 0);
-  w.WriteUint(group.size());
-  for (const Term& t : group) w.WriteTerm(t);
-  w.WriteTerm(value);
-  w.WriteTupleId(contributor);
-  w.WriteInt(update_ts);
-  Message m;
-  m.type = kAggMsg;
-  m.payload = w.Take();
-  return m;
-}
-
+Message AggWire::Encode() const { return EncodeFields(*this, kAggMsg); }
 StatusOr<AggWire> AggWire::Decode(const Message& msg) {
-  PayloadReader r(msg.payload);
-  AggWire out;
-  DEDUCE_ASSIGN_OR_RETURN(int64_t target, r.ReadInt());
-  out.final_target = static_cast<NodeId>(target);
-  DEDUCE_ASSIGN_OR_RETURN(uint64_t plan, r.ReadUint());
-  out.plan_index = static_cast<uint32_t>(plan);
-  DEDUCE_ASSIGN_OR_RETURN(uint64_t removal, r.ReadUint());
-  out.removal = removal != 0;
-  DEDUCE_ASSIGN_OR_RETURN(uint64_t n, r.ReadUint());
-  if (n > r.remaining() + 1) {
-    return StatusOr<AggWire>(
-        Status::InvalidArgument("group size exceeds payload"));
-  }
-  for (uint64_t i = 0; i < n; ++i) {
-    DEDUCE_ASSIGN_OR_RETURN(Term t, r.ReadTerm());
-    out.group.push_back(std::move(t));
-  }
-  DEDUCE_ASSIGN_OR_RETURN(out.value, r.ReadTerm());
-  DEDUCE_ASSIGN_OR_RETURN(out.contributor, r.ReadTupleId());
-  DEDUCE_ASSIGN_OR_RETURN(out.update_ts, r.ReadInt());
-  return out;
+  return DecodeFields<AggWire>(msg);
 }
 
-Message AckWire::Encode() const {
-  PayloadWriter w;
-  w.WriteInt(final_target);
-  w.WriteInt(acker);
-  w.WriteUint(seq);
-  Message m;
-  m.type = kAckMsg;
-  m.payload = w.Take();
-  return m;
-}
-
+Message AckWire::Encode() const { return EncodeFields(*this, kAckMsg); }
 StatusOr<AckWire> AckWire::Decode(const Message& msg) {
-  PayloadReader r(msg.payload);
-  AckWire out;
-  DEDUCE_ASSIGN_OR_RETURN(int64_t target, r.ReadInt());
-  out.final_target = static_cast<NodeId>(target);
-  DEDUCE_ASSIGN_OR_RETURN(int64_t acker, r.ReadInt());
-  out.acker = static_cast<NodeId>(acker);
-  DEDUCE_ASSIGN_OR_RETURN(uint64_t seq, r.ReadUint());
-  out.seq = static_cast<uint32_t>(seq);
-  return out;
+  return DecodeFields<AckWire>(msg);
 }
 
 Message ReliableWire::Encode() const {
-  PayloadWriter w;
-  w.WriteInt(final_target);
-  w.WriteInt(origin);
-  w.WriteUint(seq);
-  w.WriteUint(inner_type);
-  w.WriteBytes(std::string_view(
-      reinterpret_cast<const char*>(inner_payload.data()),
-      inner_payload.size()));
-  Message m;
-  m.type = kReliableMsg;
-  m.payload = w.Take();
-  return m;
+  return EncodeFields(*this, kReliableMsg);
 }
-
 StatusOr<ReliableWire> ReliableWire::Decode(const Message& msg) {
-  PayloadReader r(msg.payload);
-  ReliableWire out;
-  DEDUCE_ASSIGN_OR_RETURN(int64_t target, r.ReadInt());
-  out.final_target = static_cast<NodeId>(target);
-  DEDUCE_ASSIGN_OR_RETURN(int64_t origin, r.ReadInt());
-  out.origin = static_cast<NodeId>(origin);
-  DEDUCE_ASSIGN_OR_RETURN(uint64_t seq, r.ReadUint());
-  out.seq = static_cast<uint32_t>(seq);
-  DEDUCE_ASSIGN_OR_RETURN(uint64_t type, r.ReadUint());
-  out.inner_type = static_cast<uint16_t>(type);
-  DEDUCE_ASSIGN_OR_RETURN(std::string bytes, r.ReadBytes());
-  out.inner_payload.assign(bytes.begin(), bytes.end());
-  return out;
+  return DecodeFields<ReliableWire>(msg);
 }
 
 Message DigestRequestWire::Encode() const {
-  PayloadWriter w;
-  w.WriteInt(final_target);
-  w.WriteInt(requester);
-  w.WriteUint(round);
-  w.WriteUint(anti_entropy ? 1 : 0);
-  Message m;
-  m.type = kDigestRequestMsg;
-  m.payload = w.Take();
-  return m;
+  return EncodeFields(*this, kDigestRequestMsg);
 }
-
 StatusOr<DigestRequestWire> DigestRequestWire::Decode(const Message& msg) {
-  PayloadReader r(msg.payload);
-  DigestRequestWire out;
-  DEDUCE_ASSIGN_OR_RETURN(int64_t target, r.ReadInt());
-  out.final_target = static_cast<NodeId>(target);
-  DEDUCE_ASSIGN_OR_RETURN(int64_t requester, r.ReadInt());
-  out.requester = static_cast<NodeId>(requester);
-  DEDUCE_ASSIGN_OR_RETURN(uint64_t round, r.ReadUint());
-  out.round = static_cast<uint32_t>(round);
-  DEDUCE_ASSIGN_OR_RETURN(uint64_t ae, r.ReadUint());
-  out.anti_entropy = ae != 0;
-  return out;
+  return DecodeFields<DigestRequestWire>(msg);
 }
 
 Message DigestReplyWire::Encode() const {
-  PayloadWriter w;
-  w.WriteInt(final_target);
-  w.WriteInt(replier);
-  w.WriteUint(round);
-  w.WriteUint(digests.size());
-  for (const PredDigest& d : digests) {
-    w.WriteSymbol(d.pred);
-    w.WriteUint(d.count);
-    w.WriteUint(d.fingerprint);
-  }
-  Message m;
-  m.type = kDigestReplyMsg;
-  m.payload = w.Take();
-  return m;
+  return EncodeFields(*this, kDigestReplyMsg);
 }
-
 StatusOr<DigestReplyWire> DigestReplyWire::Decode(const Message& msg) {
-  PayloadReader r(msg.payload);
-  DigestReplyWire out;
-  DEDUCE_ASSIGN_OR_RETURN(int64_t target, r.ReadInt());
-  out.final_target = static_cast<NodeId>(target);
-  DEDUCE_ASSIGN_OR_RETURN(int64_t replier, r.ReadInt());
-  out.replier = static_cast<NodeId>(replier);
-  DEDUCE_ASSIGN_OR_RETURN(uint64_t round, r.ReadUint());
-  out.round = static_cast<uint32_t>(round);
-  DEDUCE_ASSIGN_OR_RETURN(uint64_t n, r.ReadUint());
-  if (n > r.remaining() + 1) {
-    return StatusOr<DigestReplyWire>(
-        Status::InvalidArgument("digest list length exceeds payload"));
-  }
-  for (uint64_t i = 0; i < n; ++i) {
-    PredDigest d;
-    DEDUCE_ASSIGN_OR_RETURN(d.pred, r.ReadSymbol());
-    DEDUCE_ASSIGN_OR_RETURN(d.count, r.ReadUint());
-    DEDUCE_ASSIGN_OR_RETURN(d.fingerprint, r.ReadUint());
-    out.digests.push_back(d);
-  }
-  return out;
+  return DecodeFields<DigestReplyWire>(msg);
 }
 
 Message RepairPullWire::Encode() const {
-  PayloadWriter w;
-  w.WriteInt(final_target);
-  w.WriteInt(requester);
-  w.WriteUint(round);
-  w.WriteUint(reverse ? 1 : 0);
-  w.WriteUint(preds.size());
-  for (SymbolId p : preds) w.WriteSymbol(p);
-  w.WriteUint(known.size());
-  for (const Known& k : known) {
-    w.WriteSymbol(k.pred);
-    w.WriteTupleId(k.id);
-    w.WriteUint(k.have_insert ? 1 : 0);
-    w.WriteUint(k.has_del ? 1 : 0);
-  }
-  Message m;
-  m.type = kRepairPullMsg;
-  m.payload = w.Take();
-  return m;
+  return EncodeFields(*this, kRepairPullMsg);
 }
-
 StatusOr<RepairPullWire> RepairPullWire::Decode(const Message& msg) {
-  PayloadReader r(msg.payload);
-  RepairPullWire out;
-  DEDUCE_ASSIGN_OR_RETURN(int64_t target, r.ReadInt());
-  out.final_target = static_cast<NodeId>(target);
-  DEDUCE_ASSIGN_OR_RETURN(int64_t requester, r.ReadInt());
-  out.requester = static_cast<NodeId>(requester);
-  DEDUCE_ASSIGN_OR_RETURN(uint64_t round, r.ReadUint());
-  out.round = static_cast<uint32_t>(round);
-  DEDUCE_ASSIGN_OR_RETURN(uint64_t reverse, r.ReadUint());
-  out.reverse = reverse != 0;
-  DEDUCE_ASSIGN_OR_RETURN(uint64_t np, r.ReadUint());
-  if (np > r.remaining() + 1) {
-    return StatusOr<RepairPullWire>(
-        Status::InvalidArgument("pred list length exceeds payload"));
-  }
-  for (uint64_t i = 0; i < np; ++i) {
-    DEDUCE_ASSIGN_OR_RETURN(SymbolId p, r.ReadSymbol());
-    out.preds.push_back(p);
-  }
-  DEDUCE_ASSIGN_OR_RETURN(uint64_t nk, r.ReadUint());
-  if (nk > r.remaining() + 1) {
-    return StatusOr<RepairPullWire>(
-        Status::InvalidArgument("known list length exceeds payload"));
-  }
-  for (uint64_t i = 0; i < nk; ++i) {
-    Known k;
-    DEDUCE_ASSIGN_OR_RETURN(k.pred, r.ReadSymbol());
-    DEDUCE_ASSIGN_OR_RETURN(k.id, r.ReadTupleId());
-    DEDUCE_ASSIGN_OR_RETURN(uint64_t ins, r.ReadUint());
-    k.have_insert = ins != 0;
-    DEDUCE_ASSIGN_OR_RETURN(uint64_t del, r.ReadUint());
-    k.has_del = del != 0;
-    out.known.push_back(k);
-  }
-  return out;
+  return DecodeFields<RepairPullWire>(msg);
 }
 
 Message RepairPushWire::Encode() const {
-  PayloadWriter w;
-  w.WriteInt(final_target);
-  w.WriteInt(replier);
-  w.WriteUint(round);
-  w.WriteUint(entries.size());
-  for (const Entry& e : entries) {
-    w.WriteSymbol(e.pred);
-    w.WriteFact(e.fact);
-    w.WriteTupleId(e.id);
-    w.WriteInt(e.gen_ts);
-    w.WriteUint(e.have_insert ? 1 : 0);
-    w.WriteUint(e.has_del ? 1 : 0);
-    w.WriteInt(e.del_ts);
-  }
-  Message m;
-  m.type = kRepairPushMsg;
-  m.payload = w.Take();
-  return m;
+  return EncodeFields(*this, kRepairPushMsg);
 }
-
 StatusOr<RepairPushWire> RepairPushWire::Decode(const Message& msg) {
-  PayloadReader r(msg.payload);
-  RepairPushWire out;
-  DEDUCE_ASSIGN_OR_RETURN(int64_t target, r.ReadInt());
-  out.final_target = static_cast<NodeId>(target);
-  DEDUCE_ASSIGN_OR_RETURN(int64_t replier, r.ReadInt());
-  out.replier = static_cast<NodeId>(replier);
-  DEDUCE_ASSIGN_OR_RETURN(uint64_t round, r.ReadUint());
-  out.round = static_cast<uint32_t>(round);
-  DEDUCE_ASSIGN_OR_RETURN(uint64_t n, r.ReadUint());
-  if (n > r.remaining() + 1) {
-    return StatusOr<RepairPushWire>(
-        Status::InvalidArgument("entry list length exceeds payload"));
-  }
-  for (uint64_t i = 0; i < n; ++i) {
-    Entry e;
-    DEDUCE_ASSIGN_OR_RETURN(e.pred, r.ReadSymbol());
-    DEDUCE_ASSIGN_OR_RETURN(e.fact, r.ReadFact());
-    DEDUCE_ASSIGN_OR_RETURN(e.id, r.ReadTupleId());
-    DEDUCE_ASSIGN_OR_RETURN(e.gen_ts, r.ReadInt());
-    DEDUCE_ASSIGN_OR_RETURN(uint64_t ins, r.ReadUint());
-    e.have_insert = ins != 0;
-    DEDUCE_ASSIGN_OR_RETURN(uint64_t del, r.ReadUint());
-    e.has_del = del != 0;
-    DEDUCE_ASSIGN_OR_RETURN(e.del_ts, r.ReadInt());
-    out.entries.push_back(std::move(e));
-  }
-  return out;
+  return DecodeFields<RepairPushWire>(msg);
 }
 
 StatusOr<NodeId> PeekFinalTarget(const Message& msg) {

@@ -5,6 +5,7 @@
 
 #include "deduce/common/statusor.h"
 #include "deduce/datalog/fact.h"
+#include "deduce/datalog/unify.h"
 #include "deduce/net/network.h"
 
 namespace deduce {
@@ -42,10 +43,12 @@ struct StoreWire {
   static StatusOr<StoreWire> Decode(const Message& msg);
 };
 
-/// One partial result traveling with a join pass (§III-A, Fig. 1).
+/// One partial result of a join (§III-A, Fig. 1): the runtime extends it
+/// in place and ships it with its join pass.
 struct PartialWire {
   uint32_t matched_mask = 0;  ///< Body literals already matched/evaluated.
-  std::vector<std::pair<SymbolId, Term>> bindings;
+  /// Variable bindings; they travel in ascending variable id.
+  Subst bindings;
   /// Positive supports gathered so far: (body literal index, tuple id).
   std::vector<std::pair<uint32_t, TupleId>> support;
 };

@@ -54,18 +54,6 @@ bool Database::Insert(const Fact& fact) {
   Rel& rel = relations_[fact.predicate()];
   size_t hash = fact.Hash();
   if (Lookup(rel, hash, fact) != kNone) return false;
-  if (!capacity_.empty()) {
-    auto cit = capacity_.find(fact.predicate());
-    if (cit != capacity_.end() && cit->second > 0 &&
-        rel.ordered.size() >= cit->second) {
-      // At capacity: make room FIFO before admitting the newcomer. Erase
-      // rebuilds the slot table and drops the lazy indexes — acceptable,
-      // capped relations are small by definition.
-      Fact victim = rel.ordered.front();
-      Erase(victim);
-      ++evictions_;
-    }
-  }
   uint32_t ordinal = static_cast<uint32_t>(rel.ordered.size());
   rel.ordered.push_back(fact);
   rel.hashes.push_back(hash);
@@ -236,28 +224,6 @@ bool Database::SameFacts(const Database& other) const {
     }
   }
   return true;
-}
-
-void Database::SetRelationCapacity(SymbolId pred, size_t cap) {
-  if (cap == 0) {
-    capacity_.erase(pred);
-    return;
-  }
-  capacity_[pred] = cap;
-  // Shrinking below the current population evicts immediately, oldest
-  // first, so the invariant "size <= cap" holds from the call on.
-  auto it = relations_.find(pred);
-  if (it == relations_.end()) return;
-  while (it->second.ordered.size() > cap) {
-    Fact victim = it->second.ordered.front();
-    Erase(victim);
-    ++evictions_;
-  }
-}
-
-size_t Database::RelationCapacity(SymbolId pred) const {
-  auto it = capacity_.find(pred);
-  return it == capacity_.end() ? 0 : it->second;
 }
 
 std::string Database::ToString() const {

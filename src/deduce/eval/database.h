@@ -12,9 +12,8 @@
 namespace deduce {
 
 /// Read interface over a set of relations, used by the rule evaluator. The
-/// same evaluator runs against a static Database (semi-naive evaluation),
-/// against the alive-and-in-window view of an incremental engine, and
-/// against a sensor node's local replica store in the distributed engine.
+/// same evaluator runs against a static Database (semi-naive evaluation)
+/// and against the alive-and-in-window view of an incremental engine.
 class RelationReader {
  public:
   virtual ~RelationReader() = default;
@@ -90,15 +89,6 @@ class Database : public RelationReader {
   /// Deterministic multi-line listing (sorted), for tests and goldens.
   std::string ToString() const;
 
-  /// Caps `pred` at `cap` live facts (0 = unlimited, the default). When an
-  /// Insert would push the relation past its cap, the OLDEST fact is
-  /// evicted first — the bounded-state FIFO discipline the overload budget
-  /// layer relies on. Every eviction is counted; callers that must not
-  /// lose state silently watch `evictions()`.
-  void SetRelationCapacity(SymbolId pred, size_t cap);
-  size_t RelationCapacity(SymbolId pred) const;
-  uint64_t evictions() const { return evictions_; }
-
  private:
   /// Struct-of-arrays relation storage. A fact appears once in `ordered`
   /// (one shared-rep pointer); membership is an open-addressed table of
@@ -148,9 +138,7 @@ class Database : public RelationReader {
   void IndexInsert(Rel* rel, const Fact& fact, uint32_t ordinal) const;
 
   std::unordered_map<SymbolId, Rel> relations_;
-  std::unordered_map<SymbolId, size_t> capacity_;
   size_t size_ = 0;
-  uint64_t evictions_ = 0;
 };
 
 }  // namespace deduce

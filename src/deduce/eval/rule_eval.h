@@ -76,8 +76,10 @@ class GroundColumnFilter {
 
 /// Evaluates the body of one rule against a RelationReader, emitting every
 /// satisfying substitution. This is the single join engine shared by the
-/// centralized semi-naive evaluator, the staged XY evaluator, the
-/// incremental maintainers, and (on-node) the distributed join component.
+/// centralized semi-naive evaluator, the staged XY evaluator and the
+/// incremental maintainers. The distributed runtime does not use it: its
+/// join component extends partials against a node's replica table
+/// (NodeRuntime::ProbeReplicas).
 ///
 /// Literals are consumed in a greedy order: the pinned literal first, then
 /// fully-bound filters (comparisons, built-ins, negations) as soon as they

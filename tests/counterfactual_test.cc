@@ -456,8 +456,7 @@ TEST(ProvenanceCapacityTest, TinyRingEvictsWarnsAndTruncatesExplain) {
   MetricsRegistry metrics;
   EngineOptions options;
   options.provenance.enabled = true;
-  options.provenance_capacity = 2;  // EngineOptions override, not the
-                                    // ProvenanceOptions default of 512
+  options.provenance.ring_capacity = 2;  // not the default of 512
   options.metrics = &metrics;
   auto engine = DistributedEngine::Create(&net, *program, options);
   ASSERT_TRUE(engine.ok());

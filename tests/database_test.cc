@@ -294,45 +294,5 @@ TEST(DatabaseIndexTest, DefaultScanBoundFallbackAgrees) {
   EXPECT_EQ(indexed.size(), 6u);
 }
 
-TEST(DatabaseTest, RelationCapacityEvictsOldestFirst) {
-  Database db;
-  db.SetRelationCapacity(Intern("p"), 2);
-  EXPECT_EQ(db.RelationCapacity(Intern("p")), 2u);
-  db.Insert(F("p", {Term::Int(1)}));
-  db.Insert(F("p", {Term::Int(2)}));
-  EXPECT_EQ(db.evictions(), 0u);
-  // At the cap: inserting evicts the oldest tuple, FIFO.
-  db.Insert(F("p", {Term::Int(3)}));
-  EXPECT_EQ(db.RelationSize(Intern("p")), 2u);
-  EXPECT_FALSE(db.Contains(F("p", {Term::Int(1)})));
-  EXPECT_TRUE(db.Contains(F("p", {Term::Int(2)})));
-  EXPECT_TRUE(db.Contains(F("p", {Term::Int(3)})));
-  EXPECT_EQ(db.evictions(), 1u);
-  // Other relations are unbudgeted and unaffected.
-  db.Insert(F("q", {Term::Int(1)}));
-  db.Insert(F("q", {Term::Int(2)}));
-  db.Insert(F("q", {Term::Int(3)}));
-  EXPECT_EQ(db.RelationSize(Intern("q")), 3u);
-  EXPECT_EQ(db.RelationCapacity(Intern("q")), 0u);
-  EXPECT_EQ(db.evictions(), 1u);
-}
-
-TEST(DatabaseTest, ShrinkingRelationCapacityEvictsImmediately) {
-  Database db;
-  for (int i = 1; i <= 5; ++i) db.Insert(F("p", {Term::Int(i)}));
-  db.SetRelationCapacity(Intern("p"), 2);
-  EXPECT_EQ(db.RelationSize(Intern("p")), 2u);
-  EXPECT_EQ(db.evictions(), 3u);
-  // The two newest survive.
-  EXPECT_TRUE(db.Contains(F("p", {Term::Int(4)})));
-  EXPECT_TRUE(db.Contains(F("p", {Term::Int(5)})));
-  // Cap 0 lifts the limit again.
-  db.SetRelationCapacity(Intern("p"), 0);
-  db.Insert(F("p", {Term::Int(6)}));
-  db.Insert(F("p", {Term::Int(7)}));
-  EXPECT_EQ(db.RelationSize(Intern("p")), 4u);
-  EXPECT_EQ(db.evictions(), 3u);
-}
-
 }  // namespace
 }  // namespace deduce

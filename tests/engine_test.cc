@@ -260,7 +260,7 @@ void ExpectTimingOfAnAllNodesWalk(const Topology& topo,
   }
   int diameter = topo.DiameterHops();
   int sweep = std::max(*vertical_walks->rbegin(), diameter);
-  SimTime hop = ExactLink().MaxHopDelay(options.max_message_bytes);
+  SimTime hop = ExactLink().MaxHopDelay(kMaxMessageBytes);
   const EngineTiming& timing = (*engine)->timing();
   EXPECT_EQ(timing.tau_s,
             static_cast<SimTime>(options.timing_margin *

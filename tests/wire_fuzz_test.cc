@@ -103,8 +103,8 @@ std::vector<Message> SampleFrames() {
   pass.path_remaining = {4, 5};
   PartialWire partial;
   partial.matched_mask = 0x3;
-  partial.bindings = {{Intern("X"), Term::Int(9)},
-                      {Intern("Y"), Term::Sym("hot")}};
+  partial.bindings.Bind(Intern("X"), Term::Int(9));
+  partial.bindings.Bind(Intern("Y"), Term::Sym("hot"));
   partial.support = {{0, TupleId{1, 999, 0}}, {1, TupleId{2, 998, 1}}};
   pass.partials = {partial};
   pass.degraded = true;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
+#include <vector>
+
 #include "deduce/common/rng.h"
 #include "deduce/net/codec.h"
 
@@ -103,8 +107,7 @@ TEST(WireTest, JoinPassRoundTrip) {
       PartialWire partial;
       partial.matched_mask = static_cast<uint32_t>(rng.NextUint64());
       for (int b = 0; b < rng.Uniform(0, 3); ++b) {
-        partial.bindings.emplace_back(NumberedSymbol("X", b),
-                                      RandomGroundTerm(&rng));
+        partial.bindings.Bind(NumberedSymbol("X", b), RandomGroundTerm(&rng));
       }
       for (int s = 0; s < rng.Uniform(0, 3); ++s) {
         partial.support.emplace_back(
@@ -316,6 +319,208 @@ TEST(WireTest, RepairWiresRoundTrip) {
       EXPECT_EQ(push_back->entries[e].has_del, push.entries[e].has_del);
       EXPECT_EQ(push_back->entries[e].del_ts, push.entries[e].del_ts);
     }
+  }
+}
+
+/// One fixed frame of each of the ten formats. Between them they carry a
+/// deletion mark, flood mode, a nonzero tenant, negative and 64-bit
+/// values, doubles, nested functions and lists, and a join pass with two
+/// partials of three bindings each.
+std::vector<Message> GoldenFrames() {
+  // Interned before anything else here, in this order, under names no
+  // other test uses, so that their ids ascend in this order.
+  SymbolId var_a = Intern("golden_var_a");
+  SymbolId var_b = Intern("golden_var_b");
+  SymbolId var_c = Intern("golden_var_c");
+  Term nested = Term::Function(
+      "loc", {Term::Real(-2.5),
+              Term::MakeList({Term::Int(-7), Term::Sym("hot"),
+                              Term::Function("f", {Term::Int(300)})})});
+  Fact fact(Intern("reading"),
+            {Term::Int(-1), nested, Term::Real(0.125), Term::Sym("north")});
+  std::vector<Message> frames;
+
+  StoreWire mark;  // a deletion mark on a storage walk
+  mark.final_target = 12;
+  mark.pred = fact.predicate();
+  mark.fact = fact;
+  mark.id = TupleId{3, 1000001, 7};
+  mark.gen_ts = 999999;
+  mark.deletion = true;
+  mark.del_ts = 1500000;
+  mark.path_remaining = {13, 14, 200};
+  frames.push_back(mark.Encode());
+
+  StoreWire flood;  // flood mode: no path, a hop budget
+  flood.final_target = 0;
+  flood.pred = fact.predicate();
+  flood.fact = Fact(Intern("reading"), {Term::Int(64)});
+  flood.id = TupleId{0, -5, 0};
+  flood.gen_ts = -5;
+  flood.flood_ttl = 4;
+  frames.push_back(flood.Encode());
+
+  JoinPassWire pass;
+  pass.final_target = 40;
+  pass.delta_index = 2;
+  pass.removal = true;
+  pass.update_ts = 123456789;
+  pass.update_id = TupleId{9, 123456789, 1};
+  pass.pass_index = 1;
+  pass.path_remaining = {41, 42};
+  PartialWire first;
+  first.matched_mask = 0x5;
+  first.bindings.Bind(var_a, Term::Int(-3));
+  first.bindings.Bind(var_b, Term::Sym("tank"));
+  first.bindings.Bind(var_c, nested);
+  first.support = {{0, TupleId{9, 123456789, 1}}, {2, TupleId{17, 99, 4}}};
+  PartialWire second;
+  second.matched_mask = 0x80000001u;
+  second.bindings.Bind(var_a, Term::Real(1e300));
+  second.bindings.Bind(var_b, Term::MakeList({}));
+  second.bindings.Bind(var_c, Term::Int(1));
+  second.support = {{0, TupleId{9, 123456789, 1}}};
+  pass.partials = {first, second};
+  pass.degraded = true;
+  frames.push_back(pass.Encode());
+
+  ResultWire result;  // a tenant's fan-out copy
+  result.final_target = 77;
+  result.pred = Intern("alert");
+  result.fact = Fact(Intern("alert"), {nested, Term::Int(5)});
+  result.removal = false;
+  result.rule_id = -1;
+  result.support = {TupleId{9, 123456789, 1}, TupleId{17, 99, 4}};
+  result.update_ts = 123456789;
+  result.degraded = true;
+  result.tenant = 300;
+  frames.push_back(result.Encode());
+
+  AggWire agg;
+  agg.final_target = 5;
+  agg.plan_index = 1;
+  agg.removal = true;
+  agg.group = {Term::Sym("north"), nested};
+  agg.value = Term::Real(-0.75);
+  agg.contributor = TupleId{4, 8, 15};
+  agg.update_ts = 16;
+  frames.push_back(agg.Encode());
+
+  AckWire ack;
+  ack.final_target = 23;
+  ack.acker = 42;
+  ack.seq = 4000000000u;
+  frames.push_back(ack.Encode());
+
+  ReliableWire envelope;
+  envelope.final_target = 23;
+  envelope.origin = 42;
+  envelope.seq = 129;
+  envelope.inner_type = kStoreMsg;
+  envelope.inner_payload = flood.Encode().payload;
+  frames.push_back(envelope.Encode());
+
+  DigestRequestWire request;
+  request.final_target = 6;
+  request.requester = 7;
+  request.round = 3;
+  request.anti_entropy = true;
+  frames.push_back(request.Encode());
+
+  DigestReplyWire reply;
+  reply.final_target = 7;
+  reply.replier = 6;
+  reply.round = 3;
+  reply.digests = {PredDigest{Intern("reading"), 2, 0xfedcba9876543210ull},
+                   PredDigest{Intern("alert"), 0, 0}};
+  frames.push_back(reply.Encode());
+
+  RepairPullWire pull;
+  pull.final_target = 6;
+  pull.requester = 7;
+  pull.round = 4;
+  pull.reverse = true;
+  pull.preds = {Intern("reading"), Intern("alert")};
+  pull.known = {{Intern("reading"), TupleId{3, 1000001, 7}, true, false},
+                {Intern("reading"), TupleId{0, -5, 0}, false, true}};
+  frames.push_back(pull.Encode());
+
+  RepairPushWire push;
+  push.final_target = 7;
+  push.replier = 6;
+  push.round = 4;
+  push.entries = {{Intern("reading"), fact, TupleId{3, 1000001, 7}, 999999,
+                   true, true, 1500000},
+                  {Intern("reading"), flood.fact, TupleId{0, -5, 0}, -5, true,
+                   false, 0}};
+  frames.push_back(push.Encode());
+  return frames;
+}
+
+/// Pinned encodings of GoldenFrames(), in order. Round trips cannot see a
+/// change that alters Encode and Decode alike; these bytes can.
+struct GoldenFrame {
+  uint16_t type;
+  const char* hex;
+};
+constexpr GoldenFrame kGoldenFrames[] = {
+    {kStoreMsg,
+     "180772656164696e670772656164696e6704000104036c6f6302010000000000"
+     "0004c004035b7c5d02000d04035b7c5d020203686f7404035b7c5d0204016601"
+     "00d80402025b5d01000000000000c03f02056e6f7274680682897a07fe887a01"
+     "c08db701031a1c900301"},
+    {kStoreMsg, "000772656164696e670772656164696e67010080010009000900000008"},
+    {kJoinPassMsg,
+     "500201aab4de7512aab4de7501010252540205030c676f6c64656e5f7661725f"
+     "6100050c676f6c64656e5f7661725f62020474616e6b0c676f6c64656e5f7661"
+     "725f6304036c6f63020100000000000004c004035b7c5d02000d04035b7c5d02"
+     "0203686f7404035b7c5d020401660100d80402025b5d020012aab4de75010222"
+     "c601048180808008030c676f6c64656e5f7661725f61019c7500883ce4377e0c"
+     "676f6c64656e5f7661725f6202025b5d0c676f6c64656e5f7661725f63000201"
+     "0012aab4de750101"},
+    {kResultMsg,
+     "9a0105616c65727405616c6572740204036c6f63020100000000000004c00403"
+     "5b7c5d02000d04035b7c5d020203686f7404035b7c5d020401660100d8040202"
+     "5b5d000a00010212aab4de750122c60104aab4de7501ac02"},
+    {kAggMsg,
+     "0a01010202056e6f72746804036c6f63020100000000000004c004035b7c5d02"
+     "000d04035b7c5d020203686f7404035b7c5d020401660100d80402025b5d0100"
+     "0000000000e8bf08100f20"},
+    {kAckMsg, "2e5480d0acf30e"},
+    {kReliableMsg,
+     "2e548101011d000772656164696e670772656164696e67010080010009000900"
+     "000008"},
+    {kDigestRequestMsg, "0c0e0301"},
+    {kDigestReplyMsg,
+     "0e0c03020772656164696e670290e4d0b287d3aeeefe0105616c6572740000"},
+    {kRepairPullMsg,
+     "0c0e0401020772656164696e6705616c657274020772656164696e670682897a"
+     "0701000772656164696e670009000001"},
+    {kRepairPushMsg,
+     "0e0c04020772656164696e670772656164696e6704000104036c6f6302010000"
+     "0000000004c004035b7c5d02000d04035b7c5d020203686f7404035b7c5d0204"
+     "01660100d80402025b5d01000000000000c03f02056e6f7274680682897a07fe"
+     "887a0101c08db7010772656164696e670772656164696e670100800100090009"
+     "010000"},
+};
+
+std::string Hex(const std::vector<uint8_t>& bytes) {
+  std::string out;
+  for (uint8_t b : bytes) {
+    static const char kDigits[] = "0123456789abcdef";
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xf];
+  }
+  return out;
+}
+
+TEST(WireTest, GoldenBytesOfEveryFormat) {
+  std::vector<Message> frames = GoldenFrames();
+  ASSERT_EQ(frames.size(), std::size(kGoldenFrames));
+  for (size_t i = 0; i < frames.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(frames[i].type, kGoldenFrames[i].type);
+    EXPECT_EQ(Hex(frames[i].payload), kGoldenFrames[i].hex);
   }
 }
 

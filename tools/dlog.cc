@@ -271,19 +271,31 @@ StatusOr<std::vector<Event>> ParseEvents(const std::string& text) {
   return out;
 }
 
-bool StorageFromFlag(const std::string& storage, StoragePolicy* out) {
-  if (storage == "row" || storage.empty()) {
-    *out = StoragePolicy::kRow;
-  } else if (storage == "broadcast") {
-    *out = StoragePolicy::kBroadcast;
-  } else if (storage == "local") {
-    *out = StoragePolicy::kLocal;
-  } else if (storage == "centroid") {
-    *out = StoragePolicy::kCentroid;
-  } else {
-    return false;
+/// The engine options and link model that `simulate` (single-run, tenant
+/// and sweep paths alike) and `explain` build from their shared flags.
+struct SimConfig {
+  EngineOptions options;
+  LinkModel link;
+};
+
+StatusOr<SimConfig> SimConfigFromFlags(const std::string& storage,
+                                       double loss, bool reliable,
+                                       const RepairOptions& repair,
+                                       bool provenance, long prov_capacity) {
+  SimConfig c;
+  c.options.transport.reliable = reliable;
+  c.options.repair = repair;
+  c.options.provenance.enabled = provenance;
+  if (prov_capacity > 0) {
+    c.options.provenance.ring_capacity = static_cast<size_t>(prov_capacity);
   }
-  return true;
+  if (!StoragePolicyFromName(storage, &c.options.planner.default_storage)) {
+    return StatusOr<SimConfig>(
+        Status::InvalidArgument("unknown --storage " + storage));
+  }
+  c.link.loss_rate = loss;
+  if (loss > 0) c.link.retries = 2;
+  return c;
 }
 
 /// Resolves the simulate tenancy flags into the per-tenant program list.
@@ -320,10 +332,8 @@ StatusOr<std::vector<TenantProgram>> LoadTenantPrograms(
 }
 
 int CmdSimulate(const std::string& path, const std::string& events_path,
-                int grid, const std::string& storage, double loss,
-                bool reliable, const RepairOptions& repair, uint64_t seed,
-                bool provenance, size_t prov_capacity, long metrics_interval,
-                const std::string& trace_path,
+                int grid, const SimConfig& sim, uint64_t seed,
+                long metrics_interval, const std::string& trace_path,
                 const std::string& trace_out_path,
                 const std::string& metrics_out_path) {
   auto text = ReadFile(path);
@@ -339,19 +349,8 @@ int CmdSimulate(const std::string& path, const std::string& events_path,
         "--metrics-interval requires --metrics-out"));
   }
 
-  EngineOptions options;
-  options.transport.reliable = reliable;
-  options.repair = repair;
-  options.provenance.enabled = provenance;
-  options.provenance_capacity = prov_capacity;
-  if (!StorageFromFlag(storage, &options.planner.default_storage)) {
-    return Fail(Status::InvalidArgument("unknown --storage " + storage));
-  }
-
-  LinkModel link;
-  link.loss_rate = loss;
-  if (loss > 0) link.retries = 2;
-  Network net(Topology::Grid(grid), link, seed);
+  EngineOptions options = sim.options;
+  Network net(Topology::Grid(grid), sim.link, seed);
   std::ofstream trace_out;
   if (!trace_path.empty()) {
     trace_out.open(trace_path);
@@ -437,7 +436,7 @@ int CmdSimulate(const std::string& path, const std::string& events_path,
       static_cast<unsigned long long>((*engine)->stats().join_passes),
       static_cast<unsigned long long>((*engine)->stats().derivations_added),
       (*engine)->stats().errors.size());
-  if (reliable) {
+  if (options.transport.reliable) {
     const EngineStats& es = (*engine)->stats();
     std::fprintf(
         stderr,
@@ -449,7 +448,7 @@ int CmdSimulate(const std::string& path, const std::string& events_path,
         static_cast<unsigned long long>(es.gave_up_messages),
         static_cast<unsigned long long>(es.repaired_messages));
   }
-  if (repair.any()) {
+  if (options.repair.any()) {
     const EngineStats& es = (*engine)->stats();
     std::fprintf(
         stderr,
@@ -492,26 +491,15 @@ int CmdSimulate(const std::string& path, const std::string& events_path,
 /// byte-identical to pre-tenancy dlog.
 int CmdSimulateTenants(const std::vector<TenantProgram>& tenants,
                        const std::string& events_path, int grid,
-                       const std::string& storage, double loss, bool reliable,
-                       const RepairOptions& repair, uint64_t seed,
-                       bool provenance,
+                       const SimConfig& sim, uint64_t seed,
                        const std::string& metrics_out_path) {
   auto events_text = ReadFile(events_path);
   if (!events_text.ok()) return Fail(events_text.status());
   auto events = ParseEvents(*events_text);
   if (!events.ok()) return Fail(events.status());
 
-  EngineOptions options;
-  options.transport.reliable = reliable;
-  options.repair = repair;
-  options.provenance.enabled = provenance;
-  if (!StorageFromFlag(storage, &options.planner.default_storage)) {
-    return Fail(Status::InvalidArgument("unknown --storage " + storage));
-  }
-  LinkModel link;
-  link.loss_rate = loss;
-  if (loss > 0) link.retries = 2;
-  Network net(Topology::Grid(grid), link, seed);
+  EngineOptions options = sim.options;
+  Network net(Topology::Grid(grid), sim.link, seed);
   MetricsRegistry metrics;
   if (!metrics_out_path.empty()) options.metrics = &metrics;
 
@@ -586,25 +574,15 @@ int CmdSimulateTenants(const std::vector<TenantProgram>& tenants,
 /// each trial runs the shared MultiTenantEngine and `results` counts the
 /// union of the per-tenant result views.
 int CmdSimulateSweep(const std::vector<TenantProgram>& tenants,
-                     const std::string& events_path,
-                     int grid, const std::string& storage, double loss,
-                     bool reliable, const RepairOptions& repair, bool provenance,
-                     uint64_t base_seed, uint64_t seeds, int threads) {
+                     const std::string& events_path, int grid,
+                     const SimConfig& sim, uint64_t base_seed, uint64_t seeds,
+                     int threads) {
   auto events_text = ReadFile(events_path);
   if (!events_text.ok()) return Fail(events_text.status());
   auto events = ParseEvents(*events_text);
   if (!events.ok()) return Fail(events.status());
 
-  EngineOptions options;
-  options.transport.reliable = reliable;
-  options.repair = repair;
-  options.provenance.enabled = provenance;
-  if (!StorageFromFlag(storage, &options.planner.default_storage)) {
-    return Fail(Status::InvalidArgument("unknown --storage " + storage));
-  }
-  LinkModel link;
-  link.loss_rate = loss;
-  if (loss > 0) link.retries = 2;
+  const EngineOptions& options = sim.options;
   Topology topo = Topology::Grid(grid);
   for (const Event& ev : *events) {
     if (ev.node < 0 || ev.node >= topo.node_count()) {
@@ -632,7 +610,7 @@ int CmdSimulateSweep(const std::vector<TenantProgram>& tenants,
       static_cast<size_t>(seeds), threads,
       [&](size_t i) {
         SeedResult r;
-        Network net(topo, link, base_seed + i);
+        Network net(topo, sim.link, base_seed + i);
         if (tenants.size() == 1) {
           auto engine =
               DistributedEngine::Create(&net, tenants[0].program, options);
@@ -829,9 +807,7 @@ StatusOr<Fact> ParseTargetFact(const std::string& fact_text) {
 
 int CmdExplain(const std::string& path, const std::string& fact_text,
                const std::string& trace_in, const std::string& events_path,
-               int grid, const std::string& storage, double loss,
-               bool reliable, const RepairOptions& repair, uint64_t seed,
-               size_t prov_capacity) {
+               int grid, const SimConfig& sim, uint64_t seed) {
   auto text = ReadFile(path);
   if (!text.ok()) return Fail(text.status());
   auto program = ParseProgram(*text);
@@ -870,18 +846,9 @@ int CmdExplain(const std::string& path, const std::string& fact_text,
     auto events = ParseEvents(*events_text);
     if (!events.ok()) return Fail(events.status());
 
-    EngineOptions options;
-    options.transport.reliable = reliable;
-    options.repair = repair;
+    EngineOptions options = sim.options;
     options.provenance.enabled = true;  // explain is the provenance consumer
-    options.provenance_capacity = prov_capacity;
-    if (!StorageFromFlag(storage, &options.planner.default_storage)) {
-      return Fail(Status::InvalidArgument("unknown --storage " + storage));
-    }
-    LinkModel link;
-    link.loss_rate = loss;
-    if (loss > 0) link.retries = 2;
-    Network net(Topology::Grid(grid), link, seed);
+    Network net(Topology::Grid(grid), sim.link, seed);
     std::ostringstream trace_stream;
     TraceWriter writer;
     writer.OpenStream(&trace_stream);
@@ -951,18 +918,6 @@ int CmdChaos(uint64_t seed, const ChaosProfile& profile, bool shrink,
   return 3;
 }
 
-std::vector<TraceRecord> ParseTraceLines(const std::string& jsonl) {
-  std::vector<TraceRecord> records;
-  std::istringstream in(jsonl);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (StrTrim(line).empty()) continue;
-    auto r = TraceRecord::FromJson(line);
-    if (r.ok()) records.push_back(std::move(*r));
-  }
-  return records;
-}
-
 /// Pulls the fact text out of an invariant-violation line ("" when the
 /// violation names no tuple — convergence and engine-error lines don't).
 std::string ViolationFact(const std::string& violation) {
@@ -1004,7 +959,7 @@ void PrintViolationAttribution(const Scenario& scenario,
   auto outcome = RunScenario(scenario, run);
   writer.Close();
   if (!outcome.ok()) return;
-  std::vector<TraceRecord> records = ParseTraceLines(sink.str());
+  std::vector<TraceRecord> records = ParseTraceRecords(sink.str());
   bool header = false;
   std::set<std::string> seen;
   for (const std::string& v : report.violations) {
@@ -1500,51 +1455,47 @@ int main(int argc, char** argv) {
   if (cmd == "stats") {
     return metrics_table ? CmdStatsMetrics(path) : CmdStats(path, latency);
   }
+  if (cmd != "simulate" && cmd != "explain") return Usage();
+  if (cmd == "simulate" && events.empty()) return Usage();
+  auto sim = SimConfigFromFlags(storage, loss, reliable, repair, provenance,
+                                prov_capacity);
+  if (!sim.ok()) return Fail(sim.status());
   if (cmd == "explain") {
     return CmdExplain(path, fact_text, trace_in, events,
-                      static_cast<int>(grid), storage, loss, reliable, repair,
-                      seed, static_cast<size_t>(prov_capacity));
+                      static_cast<int>(grid), *sim, seed);
   }
-  if (cmd == "simulate") {
-    if (events.empty()) return Usage();
-    bool multi = !extra_programs.empty() || tenants > 1;
-    if (seeds > 1) {
-      if (!trace.empty() || !trace_out.empty() || !metrics_out.empty()) {
-        std::fprintf(stderr,
-                     "dlog: --seeds is incompatible with --trace, "
-                     "--trace-out and --metrics-out (per-run outputs)\n");
-        return 64;
-      }
-      int t = threads > 0 ? static_cast<int>(threads) : DefaultThreadCount();
-      std::vector<std::string> paths;
-      paths.push_back(path);
-      paths.insert(paths.end(), extra_programs.begin(), extra_programs.end());
-      auto tp = LoadTenantPrograms(paths, tenants);
-      if (!tp.ok()) return Fail(tp.status());
-      return CmdSimulateSweep(*tp, events, static_cast<int>(grid), storage,
-                              loss, reliable, repair, provenance, seed,
-                              static_cast<uint64_t>(seeds), t);
+  bool multi = !extra_programs.empty() || tenants > 1;
+  if (seeds > 1) {
+    if (!trace.empty() || !trace_out.empty() || !metrics_out.empty()) {
+      std::fprintf(stderr,
+                   "dlog: --seeds is incompatible with --trace, "
+                   "--trace-out and --metrics-out (per-run outputs)\n");
+      return 64;
     }
-    if (multi) {
-      if (!trace.empty() || !trace_out.empty() || metrics_interval > 0) {
-        std::fprintf(stderr,
-                     "dlog: --program/--tenants is incompatible with "
-                     "--trace, --trace-out and --metrics-interval\n");
-        return 64;
-      }
-      std::vector<std::string> paths;
-      paths.push_back(path);
-      paths.insert(paths.end(), extra_programs.begin(), extra_programs.end());
-      auto tp = LoadTenantPrograms(paths, tenants);
-      if (!tp.ok()) return Fail(tp.status());
-      return CmdSimulateTenants(*tp, events, static_cast<int>(grid), storage,
-                                loss, reliable, repair, seed, provenance,
-                                metrics_out);
-    }
-    return CmdSimulate(path, events, static_cast<int>(grid), storage, loss,
-                       reliable, repair, seed, provenance,
-                       static_cast<size_t>(prov_capacity), metrics_interval,
-                       trace, trace_out, metrics_out);
+    int t = threads > 0 ? static_cast<int>(threads) : DefaultThreadCount();
+    std::vector<std::string> paths;
+    paths.push_back(path);
+    paths.insert(paths.end(), extra_programs.begin(), extra_programs.end());
+    auto tp = LoadTenantPrograms(paths, tenants);
+    if (!tp.ok()) return Fail(tp.status());
+    return CmdSimulateSweep(*tp, events, static_cast<int>(grid), *sim, seed,
+                            static_cast<uint64_t>(seeds), t);
   }
-  return Usage();
+  if (multi) {
+    if (!trace.empty() || !trace_out.empty() || metrics_interval > 0) {
+      std::fprintf(stderr,
+                   "dlog: --program/--tenants is incompatible with "
+                   "--trace, --trace-out and --metrics-interval\n");
+      return 64;
+    }
+    std::vector<std::string> paths;
+    paths.push_back(path);
+    paths.insert(paths.end(), extra_programs.begin(), extra_programs.end());
+    auto tp = LoadTenantPrograms(paths, tenants);
+    if (!tp.ok()) return Fail(tp.status());
+    return CmdSimulateTenants(*tp, events, static_cast<int>(grid), *sim,
+                              seed, metrics_out);
+  }
+  return CmdSimulate(path, events, static_cast<int>(grid), *sim, seed,
+                     metrics_interval, trace, trace_out, metrics_out);
 }
