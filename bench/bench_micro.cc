@@ -1,14 +1,17 @@
 // R-Micro: engineering microbenchmarks (google-benchmark) for the hot
-// paths: parsing, term matching/unification, the wire codec, semi-naive
-// fixpoints, incremental maintenance throughput, and the simulator event
-// loop (calendar queue vs the pre-optimization binary-heap scheduler).
+// paths: parsing, term matching/unification, the wire codec and the engine
+// frames built on it, semi-naive fixpoints, incremental maintenance
+// throughput, and the simulator event loop (calendar queue vs the
+// pre-optimization binary-heap scheduler).
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <functional>
 #include <queue>
 
 #include "deduce/datalog/parser.h"
+#include "deduce/engine/wire.h"
 #include "deduce/eval/incremental.h"
 #include "deduce/eval/seminaive.h"
 #include "deduce/net/codec.h"
@@ -64,6 +67,71 @@ void BM_CodecRoundTrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CodecRoundTrip);
+
+/// A storage-walk frame as a row walk of a 100x100 grid carries it: a
+/// three-integer tuple with 50 nodes of its row still to visit.
+StoreWire StoreWalkFrame() {
+  StoreWire w;
+  w.final_target = 5700;
+  w.pred = Intern("r");
+  w.fact = Fact(w.pred, {Term::Int(417), Term::Int(5699), Term::Int(88)});
+  w.id = TupleId{5699, 1234567, 42};
+  w.gen_ts = 1234567;
+  for (NodeId v = 5701; v <= 5750; ++v) w.path_remaining.push_back(v);
+  return w;
+}
+
+/// A join pass sweeping a column of the same grid, carrying one partial
+/// with three bindings and one support.
+JoinPassWire ColumnPassFrame() {
+  JoinPassWire w;
+  w.final_target = 4957;
+  w.update_ts = 1234567;
+  w.update_id = TupleId{5699, 1234567, 42};
+  for (NodeId v = 5057; v <= 9957; v += 100) w.path_remaining.push_back(v);
+  PartialWire p;
+  p.matched_mask = 1;
+  p.bindings.Bind(Intern("K"), Term::Int(417));
+  p.bindings.Bind(Intern("N1"), Term::Int(5699));
+  p.bindings.Bind(Intern("I1"), Term::Int(88));
+  p.support = {{0, w.update_id}};
+  w.partials.push_back(std::move(p));
+  return w;
+}
+
+template <typename Wire>
+Message Reencode(const Message& frame) {
+  return Wire::Decode(frame)->Encode();
+}
+
+/// What a walk hop pays the codec: decode the frame, encode it again. The
+/// min over repetitions is the steady figure; single runs move with the
+/// host's pace.
+void BM_FrameEncodeDecode(benchmark::State& state, Message frame) {
+  Message (*reencode)(const Message&) = frame.type == kStoreMsg
+                                            ? Reencode<StoreWire>
+                                            : Reencode<JoinPassWire>;
+  for (auto _ : state) {
+    Message again = reencode(frame);
+    benchmark::DoNotOptimize(again.payload.data());
+    benchmark::ClobberMemory();
+  }
+}
+
+double MinOf(const std::vector<double>& v) {
+  return *std::min_element(v.begin(), v.end());
+}
+
+BENCHMARK_CAPTURE(BM_FrameEncodeDecode, store_walk_50,
+                  StoreWalkFrame().Encode())
+    ->Repetitions(9)
+    ->ComputeStatistics("min", MinOf)
+    ->ReportAggregatesOnly(true);
+BENCHMARK_CAPTURE(BM_FrameEncodeDecode, column_pass_3,
+                  ColumnPassFrame().Encode())
+    ->Repetitions(9)
+    ->ComputeStatistics("min", MinOf)
+    ->ReportAggregatesOnly(true);
 
 void BM_TransitiveClosure(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));

@@ -37,6 +37,7 @@ class Subst {
 
   size_t size() const { return bindings_.size(); }
   bool empty() const { return bindings_.empty(); }
+  void reserve(size_t n) { bindings_.reserve(n); }
 
   /// Deterministic "{X=1, Y=f(2)}" form (sorted by variable name).
   std::string ToString() const;

@@ -672,7 +672,7 @@ void NodeRuntime::TryRepair(NodeContext* ctx, const PendingMsg& pm) {
       // the tuple); the walk continues at the first alive node behind it.
       StatusOr<StoreWire> store = StoreWire::Decode(inner);
       if (!store.ok() || store->path_remaining.empty()) return;
-      std::vector<NodeId> visit = store->path_remaining;
+      std::vector<NodeId> visit = std::move(store->path_remaining);
       if (SendStoreWalk(ctx, std::move(*store), std::move(visit))) {
         ++shared_->stats.repaired_messages;
       }
@@ -1070,8 +1070,6 @@ void NodeRuntime::HandleStore(NodeContext* ctx, StoreWire store) {
       next.flood_ttl = store.flood_ttl - 1;
       Message m = next.Encode();
       if (checksum_on()) SealFrame(&m);
-      NodeId from = kNoNode;  // rebroadcast to all but nobody in particular
-      (void)from;
       for (NodeId v : ctx->neighbors()) ctx->Send(v, m);
     }
     return;
@@ -1079,7 +1077,7 @@ void NodeRuntime::HandleStore(NodeContext* ctx, StoreWire store) {
   // Path walk / point-to-point.
   RecordReplica(ctx, store);
   if (!store.path_remaining.empty()) {
-    std::vector<NodeId> visit = store.path_remaining;
+    std::vector<NodeId> visit = std::move(store.path_remaining);
     SendStoreWalk(ctx, std::move(store), std::move(visit));
   }
 }
@@ -1411,8 +1409,9 @@ std::vector<NodeId> NodeRuntime::LiveSweepPath(const DeltaPlan& delta,
 void NodeRuntime::AdvancePass(NodeContext* ctx, JoinPassWire jp,
                               std::vector<NodeId> visit) {
   if (!visit.empty()) {
-    jp.final_target = visit[0];
-    jp.path_remaining.assign(visit.begin() + 1, visit.end());
+    jp.final_target = visit.front();
+    visit.erase(visit.begin());
+    jp.path_remaining = std::move(visit);
     if (jp.final_target == id_) {
       HandleJoinPass(ctx, std::move(jp));
     } else {
@@ -1464,8 +1463,9 @@ bool NodeRuntime::SendStoreWalk(NodeContext* ctx, StoreWire store,
     visit = std::move(live);
   }
   if (visit.empty()) return false;
-  store.final_target = visit[0];
-  store.path_remaining.assign(visit.begin() + 1, visit.end());
+  store.final_target = visit.front();
+  visit.erase(visit.begin());
+  store.path_remaining = std::move(visit);
   SendEngineMessage(ctx, store.final_target, store.Encode());
   return true;
 }

@@ -18,6 +18,8 @@ class FieldWriter {
  public:
   static constexpr bool kEncodes = true;
 
+  explicit FieldWriter(PayloadWriter w) : w_(std::move(w)) {}
+
   void Int(int64_t v) { w_.WriteInt(v); }
   void Uint(uint64_t v) { w_.WriteUint(v); }
   void Bool(bool v) { w_.WriteUint(v ? 1 : 0); }
@@ -39,6 +41,11 @@ class FieldWriter {
     w_.WriteUint(items.size());
     for (const T& item : items) each(*this, item);
   }
+  /// A count, then each node id as Int writes it, in one run.
+  void Nodes(const std::vector<NodeId>& nodes) {
+    w_.WriteUint(nodes.size());
+    w_.WriteNodeIds(nodes);
+  }
   /// A count, then (variable, term) pairs in ascending variable id.
   void Bindings(const Subst& s) {
     w_.WriteUint(s.size());
@@ -48,12 +55,7 @@ class FieldWriter {
     }
   }
 
-  Message Finish(uint16_t type) {
-    Message m;
-    m.type = type;
-    m.payload = w_.Take();
-    return m;
-  }
+  std::vector<uint8_t> Take() { return w_.Take(); }
 
  private:
   PayloadWriter w_;
@@ -87,7 +89,7 @@ class FieldReader {
   void Fact(deduce::Fact& f) { Get<&PayloadReader::ReadFact>(&f); }
   void Id(TupleId& id) { Get<&PayloadReader::ReadTupleId>(&id); }
   void Bytes(std::vector<uint8_t>& b) {
-    std::string s;
+    std::string_view s;
     if (Get<&PayloadReader::ReadBytes>(&s)) b.assign(s.begin(), s.end());
   }
   /// Read only when bytes remain (frames without it decode as 0).
@@ -103,11 +105,17 @@ class FieldReader {
       each(*this, items.emplace_back());
     }
   }
+  /// Accepts and rejects exactly what List over Int would.
+  void Nodes(std::vector<NodeId>& nodes) {
+    uint64_t n = Count();
+    if (status_.ok()) status_ = r_.ReadNodeIds(n, &nodes);
+  }
   /// Binds through Subst::Bind: a repeated variable keeps its first term.
   /// The term comes straight from the codec, not through a default Term,
   /// which would cost two more refcount updates per binding.
   void Bindings(Subst& s) {
     uint64_t n = Count();
+    s.reserve(n);
     for (uint64_t i = 0; i < n && status_.ok(); ++i) {
       SymbolId var = 0;
       Symbol(var);
@@ -157,8 +165,6 @@ class FieldReader {
 template <typename Io, typename T>
 using FieldsOf = std::conditional_t<Io::kEncodes, const T&, T&>;
 
-constexpr auto kNodeIds = [](auto& io, auto& node) { io.Int(node); };
-
 template <typename Io>
 void Fields(Io& io, FieldsOf<Io, StoreWire> w) {
   io.Int(w.final_target);
@@ -168,7 +174,7 @@ void Fields(Io& io, FieldsOf<Io, StoreWire> w) {
   io.Int(w.gen_ts);
   io.Bool(w.deletion);
   io.Int(w.del_ts);
-  io.List(w.path_remaining, kNodeIds);
+  io.Nodes(w.path_remaining);
   io.Int(w.flood_ttl);
 }
 
@@ -180,7 +186,7 @@ void Fields(Io& io, FieldsOf<Io, JoinPassWire> w) {
   io.Int(w.update_ts);
   io.Id(w.update_id);
   io.Uint(w.pass_index);
-  io.List(w.path_remaining, kNodeIds);
+  io.Nodes(w.path_remaining);
   io.List(w.partials, [](auto& io, auto& p) {
     io.Uint(p.matched_mask);
     io.Bindings(p.bindings);
@@ -285,9 +291,17 @@ void Fields(Io& io, FieldsOf<Io, RepairPushWire> w) {
 
 template <typename W>
 Message EncodeFields(const W& w, uint16_t type) {
-  FieldWriter io;
+  // The frame is written into a buffer this thread reuses, then copied
+  // out at its exact size: one allocation per frame, and no slack
+  // capacity in frames that wait in queues.
+  thread_local std::vector<uint8_t> buffer;
+  FieldWriter io(PayloadWriter(std::move(buffer)));
   Fields(io, w);
-  return io.Finish(type);
+  buffer = io.Take();
+  Message m;
+  m.type = type;
+  m.payload.assign(buffer.begin(), buffer.end());
+  return m;
 }
 
 template <typename W>

@@ -2,6 +2,7 @@
 #define DEDUCE_NET_CODEC_H_
 
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -20,6 +21,14 @@ namespace deduce {
 /// dictionary at compile time; string form is the conservative upper bound).
 class PayloadWriter {
  public:
+  PayloadWriter() = default;
+  /// Writes into `buffer`, cleared: a buffer reused from frame to frame
+  /// keeps its capacity, so it stops growing once it fits the largest.
+  explicit PayloadWriter(std::vector<uint8_t> buffer)
+      : buffer_(std::move(buffer)) {
+    buffer_.clear();
+  }
+
   void WriteUint(uint64_t v);
   void WriteInt(int64_t v);
   void WriteDouble(double v);
@@ -28,6 +37,8 @@ class PayloadWriter {
   void WriteTerm(const Term& term);
   void WriteFact(const Fact& fact);
   void WriteTupleId(const TupleId& id);
+  /// Each id as WriteInt writes it, in one run; no count.
+  void WriteNodeIds(std::span<const NodeId> ids);
 
   const std::vector<uint8_t>& bytes() const { return buffer_; }
   std::vector<uint8_t> Take() { return std::move(buffer_); }
@@ -48,11 +59,17 @@ class PayloadReader {
   StatusOr<uint64_t> ReadUint();
   StatusOr<int64_t> ReadInt();
   StatusOr<double> ReadDouble();
-  StatusOr<std::string> ReadBytes();
+  /// A length-prefixed byte string, as a view into the payload: valid
+  /// while the payload is.
+  StatusOr<std::string_view> ReadBytes();
   StatusOr<SymbolId> ReadSymbol();
   StatusOr<Term> ReadTerm();
   StatusOr<Fact> ReadFact();
   StatusOr<TupleId> ReadTupleId();
+  /// Replaces `ids` with `n` ids written by WriteNodeIds. Accepts and
+  /// rejects exactly what `n` ReadInt calls would, each cast to NodeId,
+  /// with the same error.
+  Status ReadNodeIds(size_t n, std::vector<NodeId>* ids);
 
   bool AtEnd() const { return pos_ == size_; }
   size_t remaining() const { return size_ - pos_; }

@@ -429,15 +429,17 @@ bool Network::Deliver(NodeId from, NodeId to, Message msg) {
     delay += stall_[static_cast<size_t>(to)];
     ++stats_.deliveries_stalled;
   }
-  auto shared = std::make_shared<Message>(std::move(msg));
   if (batched_delivery_) {
     SimTime at = sim_.now() + delay;
-    ScheduleBatched(from, to, at, bytes, shared);
     // A duplicated frame arrives a further hop-delay later — a different
-    // tick, so it lands in its own batch.
-    if (duplicate) ScheduleBatched(from, to, at + per_attempt, bytes, shared);
+    // tick, so it lands in its own batch, with its own copy.
+    ScheduleBatched(from, to, at, bytes, duplicate ? msg : std::move(msg));
+    if (duplicate) {
+      ScheduleBatched(from, to, at + per_attempt, bytes, std::move(msg));
+    }
     return true;
   }
+  auto shared = std::make_shared<Message>(std::move(msg));
   auto deliver = [this, to, bytes, shared]() {
     if (failed_[static_cast<size_t>(to)]) return;
     auto& receiver = stats_.per_node[static_cast<size_t>(to)];
@@ -454,7 +456,7 @@ bool Network::Deliver(NodeId from, NodeId to, Message msg) {
 }
 
 void Network::ScheduleBatched(NodeId from, NodeId to, SimTime at,
-                              size_t bytes, std::shared_ptr<Message> msg) {
+                              size_t bytes, Message msg) {
   BatchKey key{at, from, to};
   auto it = pending_batches_.find(key);
   if (it != pending_batches_.end()) {
@@ -463,8 +465,10 @@ void Network::ScheduleBatched(NodeId from, NodeId to, SimTime at,
     ++stats_.frames_coalesced;
     return;
   }
-  pending_batches_.emplace(key,
-                           std::vector<PendingFrame>{{bytes, std::move(msg)}});
+  // Not a braced list: that would copy the frame out of it.
+  std::vector<PendingFrame> frames;
+  frames.push_back(PendingFrame{bytes, std::move(msg)});
+  pending_batches_.emplace(key, std::move(frames));
   sim_.ScheduleAt(at, [this, key]() {
     auto node = pending_batches_.extract(key);
     if (node.empty()) return;
@@ -474,7 +478,7 @@ void Network::ScheduleBatched(NodeId from, NodeId to, SimTime at,
       auto& receiver = stats_.per_node[dst];
       ++receiver.received_messages;
       receiver.received_bytes += f.bytes;
-      apps_[dst]->OnMessage(contexts_[dst].get(), *f.msg);
+      apps_[dst]->OnMessage(contexts_[dst].get(), f.msg);
     }
   });
 }

@@ -418,10 +418,10 @@ class Network {
   };
   struct PendingFrame {
     size_t bytes = 0;
-    std::shared_ptr<Message> msg;
+    Message msg;
   };
   void ScheduleBatched(NodeId from, NodeId to, SimTime at, size_t bytes,
-                       std::shared_ptr<Message> msg);
+                       Message msg);
 
   Topology topology_;
   LinkModel link_;

@@ -427,6 +427,34 @@ TEST(EngineTest, SlidingWindowStopsMatching) {
   EXPECT_EQ((*engine2)->ResultFacts(Intern("both")).size(), 1u);
 }
 
+TEST(EngineTest, FactInjectedAtTwoNodesLivesUntilBothCopiesAreDeleted) {
+  // Paper §IV Definition 2: a stream tuple is identified by its source and
+  // timestamp, not by its fact. One fact injected at two nodes is two
+  // tuples, and deleting one leaves the other alive and joining.
+  Program program = Parse(kJoinProgram);
+  Network net(Topology::Grid(4), ExactLink(), 7);
+  auto engine = DistributedEngine::Create(&net, program, EngineOptions{});
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  Fact r = F("r", {Term::Int(1), Term::Int(5), Term::Int(0)});
+  Fact t = F("t", {Term::Int(1), Term::Int(5), Term::Int(7)});
+  auto step = [&](NodeId node, StreamOp op, const Fact& fact) {
+    ASSERT_TRUE((*engine)->Inject(node, op, fact).ok());
+    net.sim().Run();
+  };
+  step(2, StreamOp::kInsert, r);
+  step(13, StreamOp::kInsert, r);
+  step(6, StreamOp::kInsert,
+       F("s", {Term::Int(1), Term::Int(7), Term::Int(6)}));
+  EXPECT_EQ((*engine)->ResultFacts(Intern("t")), std::vector<Fact>{t});
+
+  step(2, StreamOp::kDelete, r);
+  EXPECT_EQ((*engine)->ResultFacts(Intern("t")), std::vector<Fact>{t});
+
+  step(13, StreamOp::kDelete, r);
+  EXPECT_TRUE((*engine)->ResultFacts(Intern("t")).empty());
+  EXPECT_TRUE((*engine)->stats().errors.empty());
+}
+
 TEST(EngineTest, LossyNetworkDegradesGracefully) {
   // With loss, the engine must not crash; completeness may drop.
   LinkModel link = ExactLink();

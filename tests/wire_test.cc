@@ -524,6 +524,210 @@ TEST(WireTest, GoldenBytesOfEveryFormat) {
   }
 }
 
+/// A row walk across the 8192 boundary, where a node id's zigzag varint
+/// grows from two bytes to three, out to the widest int32.
+StoreWire WideNodeIdFrame() {
+  StoreWire w;
+  w.final_target = 8190;
+  w.pred = Intern("reading");
+  w.fact = Fact(Intern("reading"), {Term::Int(8191), Term::Int(-8193)});
+  w.id = TupleId{8189, 77, 3};
+  w.gen_ts = 77;
+  w.path_remaining = {8191, 8192, 8193, 9999, 16384, 1048576, 2147483647};
+  return w;
+}
+
+TEST(WireTest, GoldenBytesOfWideNodeIds) {
+  Message m = WideNodeIdFrame().Encode();
+  EXPECT_EQ(m.type, kStoreMsg);
+  EXPECT_EQ(Hex(m.payload),
+            "fc7f0772656164696e670772656164696e670200fe7f00818001fa7f9a0103"
+            "9a01000007fe7f8080018280019e9c0180800280808001feffffff0f01");
+  StatusOr<StoreWire> back = StoreWire::Decode(m);
+  ASSERT_TRUE(back.ok()) << back.status();
+  EXPECT_EQ(back->path_remaining, WideNodeIdFrame().path_remaining);
+}
+
+/// How node lists were read before they became one run: the count, bounded
+/// by the bytes left, then one ReadInt per id, cast to NodeId.
+StatusOr<std::vector<NodeId>> PerElementNodeIds(PayloadReader* r) {
+  StatusOr<uint64_t> n = r->ReadUint();
+  if (!n.ok()) return StatusOr<std::vector<NodeId>>(n.status());
+  if (*n > r->remaining()) {
+    return StatusOr<std::vector<NodeId>>(
+        Status::InvalidArgument("list length exceeds payload"));
+  }
+  std::vector<NodeId> ids;
+  for (uint64_t i = 0; i < *n; ++i) {
+    StatusOr<int64_t> v = r->ReadInt();
+    if (!v.ok()) return StatusOr<std::vector<NodeId>>(v.status());
+    ids.push_back(static_cast<NodeId>(*v));
+  }
+  return ids;
+}
+
+/// Node-list bytes (count included) for the edge cases of the one-run
+/// reader, whether the frame goes on after them, and the decode error
+/// ("" when the frame decodes).
+struct NodeListCase {
+  const char* name;
+  std::vector<uint8_t> list;
+  bool tail;
+  std::string error;
+};
+
+std::vector<NodeListCase> NodeListCases() {
+  std::vector<uint8_t> overlong(10, 0x80);
+  overlong.push_back(0x01);
+  std::vector<uint8_t> widest(9, 0xff);
+  widest.push_back(0x01);
+  PayloadWriter outside;  // ids beyond int32, which the cast truncates
+  outside.WriteUint(4);
+  outside.WriteInt(int64_t{1} << 33);
+  outside.WriteInt(-(int64_t{1} << 40) - 5);
+  outside.WriteInt(int64_t{2147483648});
+  outside.WriteInt(int64_t{-2147483649});
+  PayloadWriter wide;  // three-byte and longer varints
+  wide.WriteUint(5);
+  for (int64_t id : {8191, 8192, 9999, 1048576, 2147483647}) wide.WriteInt(id);
+  std::vector<uint8_t> widest_list = {2, 0x02};
+  widest_list.insert(widest_list.end(), widest.begin(), widest.end());
+  std::vector<uint8_t> overlong_list = {2, 0x02};
+  overlong_list.insert(overlong_list.end(), overlong.begin(), overlong.end());
+  const std::string truncated = "truncated varint in payload";
+  const std::string too_long = "list length exceeds payload";
+  return {
+      {"empty", {0x00}, true, ""},
+      {"wide", wide.bytes(), true, ""},
+      {"outside_int32", outside.bytes(), true, ""},
+      {"ten_byte_varint", widest_list, true, ""},
+      {"overlong_varint", overlong_list, true, "overlong varint in payload"},
+      {"truncated_inside", {0x03, 0x02, 0x04, 0x86}, false, truncated},
+      {"truncated_after_first", {0x03, 0x02}, false, too_long},
+      {"count_beyond_bytes", {0x7f, 0x02, 0x04}, true, too_long},
+      {"count_beyond_bytes_no_tail", {0x05, 0x02, 0x04}, false, too_long},
+      {"huge_count", {0xff, 0xff, 0xff, 0xff, 0x0f, 0x02}, true, too_long},
+      {"truncated_count", {0x80}, false, truncated},
+  };
+}
+
+/// Decoding a frame whose node list holds `c.list` gives the status and
+/// the ids the per-element reader gives, and the pinned error.
+template <typename Wire>
+void ExpectNodeListLikePerElement(const NodeListCase& c,
+                                  const std::vector<uint8_t>& head,
+                                  const std::vector<uint8_t>& tail) {
+  SCOPED_TRACE(c.name);
+  Message m;
+  m.payload = head;
+  m.payload.insert(m.payload.end(), c.list.begin(), c.list.end());
+  if (c.tail) m.payload.insert(m.payload.end(), tail.begin(), tail.end());
+  StatusOr<Wire> got = Wire::Decode(m);
+
+  std::vector<uint8_t> rest = c.list;
+  if (c.tail) rest.insert(rest.end(), tail.begin(), tail.end());
+  PayloadReader ref(rest);
+  StatusOr<std::vector<NodeId>> want = PerElementNodeIds(&ref);
+  EXPECT_EQ(got.ok() ? "" : got.status().message(), c.error);
+  if (!want.ok()) {
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), want.status().code());
+    EXPECT_EQ(got.status().message(), want.status().message());
+    return;
+  }
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(got->path_remaining, *want);
+}
+
+TEST(WireTest, NodeListsDecodeAsPerElement) {
+  // Each frame cut just before its node list; the tail is what follows it.
+  PayloadWriter store_head;
+  store_head.WriteInt(8190);
+  store_head.WriteSymbol(Intern("reading"));
+  store_head.WriteFact(Fact(Intern("reading"), {Term::Int(1)}));
+  store_head.WriteTupleId(TupleId{8189, 77, 3});
+  store_head.WriteInt(77);
+  store_head.WriteUint(0);
+  store_head.WriteInt(0);
+  PayloadWriter store_tail;
+  store_tail.WriteInt(-1);
+
+  PayloadWriter pass_head;
+  pass_head.WriteInt(4957);
+  pass_head.WriteUint(1);
+  pass_head.WriteUint(0);
+  pass_head.WriteInt(1234567);
+  pass_head.WriteTupleId(TupleId{5699, 1234567, 42});
+  pass_head.WriteUint(0);
+  PayloadWriter pass_tail;
+  pass_tail.WriteUint(0);
+  pass_tail.WriteUint(1);
+
+  for (const NodeListCase& c : NodeListCases()) {
+    ExpectNodeListLikePerElement<StoreWire>(c, store_head.bytes(),
+                                            store_tail.bytes());
+    ExpectNodeListLikePerElement<JoinPassWire>(c, pass_head.bytes(),
+                                               pass_tail.bytes());
+  }
+}
+
+TEST(WireTest, NodeIdRunMatchesReadIntPerId) {
+  // The codec alone, where a count beyond the bytes left is not refused up
+  // front: the run must still fail with the error ReadInt meets first.
+  std::vector<uint8_t> overlong = {0x02};
+  overlong.insert(overlong.end(), 10, 0x80);
+  overlong.push_back(0x01);
+  struct Case {
+    size_t n;
+    std::vector<uint8_t> bytes;
+    std::string error;  // "" when the run decodes
+  };
+  std::vector<Case> cases = {
+      {0, {}, ""},
+      {0, {0x02}, ""},
+      {2, {0x02, 0x04, 0x06}, ""},
+      {3, {0x02, 0x04}, "truncated varint in payload"},
+      {30, overlong, "overlong varint in payload"},
+      {2, {0x80, 0x80, 0x01, 0xfe, 0xff, 0xff, 0xff, 0x0f}, ""},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.n);
+    PayloadReader bulk(c.bytes);
+    std::vector<NodeId> got = {7};  // stale ids must go
+    Status status = bulk.ReadNodeIds(c.n, &got);
+    EXPECT_EQ(status.message(), c.error);
+
+    PayloadReader each(c.bytes);
+    std::vector<NodeId> want;
+    Status want_status;
+    for (size_t i = 0; i < c.n && want_status.ok(); ++i) {
+      StatusOr<int64_t> v = each.ReadInt();
+      if (v.ok()) {
+        want.push_back(static_cast<NodeId>(*v));
+      } else {
+        want_status = v.status();
+      }
+    }
+    EXPECT_EQ(status.code(), want_status.code());
+    EXPECT_EQ(status.message(), want_status.message());
+    if (want_status.ok()) {
+      EXPECT_EQ(got, want);
+      EXPECT_EQ(bulk.remaining(), each.remaining());
+    }
+  }
+}
+
+TEST(WireTest, StringLengthNearTwoToTheSixtyFourIsAnError) {
+  // A length whose sum with the read position wraps past zero.
+  std::vector<uint8_t> bytes(9, 0xff);
+  bytes.push_back(0x01);
+  bytes.push_back('a');
+  PayloadReader r(bytes);
+  StatusOr<std::string_view> s = r.ReadBytes();
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.status().message(), "truncated string in payload");
+}
+
 /// Fuzz: random bytes must never crash a decoder — only produce errors or
 /// (rarely) a valid message.
 TEST(WireTest, FuzzDecodersNeverCrash) {
