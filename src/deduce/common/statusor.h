@@ -29,6 +29,10 @@ class StatusOr {
   }
   /// Constructs from a value.
   StatusOr(T value) : value_(std::move(value)) {}  // NOLINT
+  /// Constructs the value in place from `args`.
+  template <typename... Args>
+  explicit StatusOr(std::in_place_t, Args&&... args)
+      : value_(std::in_place, std::forward<Args>(args)...) {}
 
   bool ok() const { return value_.has_value(); }
   const Status& status() const { return status_; }

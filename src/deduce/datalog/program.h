@@ -1,6 +1,7 @@
 #ifndef DEDUCE_DATALOG_PROGRAM_H_
 #define DEDUCE_DATALOG_PROGRAM_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -12,6 +13,10 @@
 
 namespace deduce {
 
+/// The window of a stream declared without `window N`: its tuples never
+/// expire.
+inline constexpr Timestamp kNoWindow = INT64_MAX;
+
 /// Properties of a predicate supplied by `.decl` statements. All fields are
 /// optional; the planner picks defaults (see engine/planner.h).
 struct PredicateDecl {
@@ -19,7 +24,8 @@ struct PredicateDecl {
   size_t arity = 0;
   /// Declared input stream (extensional) even if it also has rules.
   bool extensional = false;
-  /// Sliding-window range τ_w, in the same time unit as tuple timestamps.
+  /// Sliding-window range τ_w, in the same time unit as tuple timestamps;
+  /// unset = kNoWindow.
   std::optional<Timestamp> window;
   /// Argument index (0-based) holding the node id where tuples of this
   /// predicate should live ("home" placement; used e.g. to store h(_,Y,_)

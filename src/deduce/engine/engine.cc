@@ -10,8 +10,6 @@ namespace deduce {
 
 namespace {
 
-constexpr Timestamp kNoWindow = INT64_MAX;
-
 /// Total hop length of walking `path` in order.
 int WalkHops(const RoutingTable& routing, const std::vector<NodeId>& path) {
   int hops = 0;

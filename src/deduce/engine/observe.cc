@@ -12,74 +12,71 @@ std::string HeadPredName(const QueryPlan& plan, size_t rule_index) {
   return SymbolName(rules[rule_index].head.predicate);
 }
 
+/// The phase a frame of `type` is charged to, whether or not its payload
+/// decodes. An envelope is charged to the message inside it, so its own
+/// type, like an unknown one, is "other".
+const char* PhaseOf(uint16_t type) {
+  switch (type) {
+    case kStoreMsg:
+      return "store";
+    case kJoinPassMsg:
+      return "sweep";
+    case kResultMsg:
+      return "result";
+    case kAggMsg:
+      return "agg";
+    case kAckMsg:
+      return "ack";
+    case kDigestRequestMsg:
+    case kDigestReplyMsg:
+    case kRepairPullMsg:
+    case kRepairPushMsg:
+      return "repair";
+    default:
+      return "other";
+  }
+}
+
+void AttributeInto(const QueryPlan& plan, uint16_t type,
+                   const std::vector<uint8_t>& payload, bool in_envelope,
+                   std::string* phase, std::string* pred, uint64_t* seq) {
+  *phase = PhaseOf(type);
+  StatusOr<EngineWire> wire = DecodeEngineMessage(type, payload);
+  if (!wire.ok()) return;
+  std::visit(
+      Overloaded{
+          [&](const StoreWire& w) { *pred = SymbolName(w.pred); },
+          [&](const JoinPassWire& w) {
+            if (w.delta_index < plan.deltas.size()) {
+              *pred = HeadPredName(plan, plan.deltas[w.delta_index].rule_index);
+            }
+          },
+          [&](const ResultWire& w) { *pred = SymbolName(w.pred); },
+          [&](const AggWire& w) {
+            if (w.plan_index < plan.aggregates.size()) {
+              *pred =
+                  HeadPredName(plan, plan.aggregates[w.plan_index].rule_index);
+            }
+          },
+          [&](const ReliableWire& w) {
+            // Nested envelopes are a protocol fault; one level is all there
+            // is, and a nested one stays "other".
+            if (in_envelope) return;
+            *seq = w.seq;
+            AttributeInto(plan, w.inner_type, w.inner_payload, true, phase,
+                          pred, seq);
+          },
+          [](const auto&) {},  // acks and repair traffic name no predicate
+      },
+      *wire);
+}
+
 }  // namespace
 
 void AttributeEngineMessage(const QueryPlan& plan, const Message& msg,
                             std::string* phase, std::string* pred,
                             uint64_t* seq) {
-  switch (msg.type) {
-    case kStoreMsg: {
-      *phase = "store";
-      StatusOr<StoreWire> w = StoreWire::Decode(msg);
-      if (w.ok()) *pred = SymbolName(w->pred);
-      return;
-    }
-    case kJoinPassMsg: {
-      *phase = "sweep";
-      StatusOr<JoinPassWire> w = JoinPassWire::Decode(msg);
-      if (w.ok() && w->delta_index < plan.deltas.size()) {
-        *pred = HeadPredName(plan, plan.deltas[w->delta_index].rule_index);
-      }
-      return;
-    }
-    case kResultMsg: {
-      *phase = "result";
-      StatusOr<ResultWire> w = ResultWire::Decode(msg);
-      if (w.ok()) *pred = SymbolName(w->pred);
-      return;
-    }
-    case kAggMsg: {
-      *phase = "agg";
-      StatusOr<AggWire> w = AggWire::Decode(msg);
-      if (w.ok() && w->plan_index < plan.aggregates.size()) {
-        *pred = HeadPredName(plan, plan.aggregates[w->plan_index].rule_index);
-      }
-      return;
-    }
-    case kAckMsg:
-      *phase = "ack";
-      return;
-    case kDigestRequestMsg:
-    case kDigestReplyMsg:
-    case kRepairPullMsg:
-    case kRepairPushMsg:
-      *phase = "repair";
-      return;
-    case kReliableMsg: {
-      StatusOr<ReliableWire> w = ReliableWire::Decode(msg);
-      if (!w.ok()) {
-        *phase = "other";
-        return;
-      }
-      *seq = w->seq;
-      Message inner;
-      inner.src = w->origin;
-      inner.dst = w->final_target;
-      inner.type = w->inner_type;
-      inner.payload = std::move(w->inner_payload);
-      // Nested envelopes are a protocol fault; one level is all there is.
-      if (inner.type == kReliableMsg) {
-        *phase = "other";
-        return;
-      }
-      uint64_t inner_seq = 0;
-      AttributeEngineMessage(plan, inner, phase, pred, &inner_seq);
-      return;
-    }
-    default:
-      *phase = "other";
-      return;
-  }
+  AttributeInto(plan, msg.type, msg.payload, false, phase, pred, seq);
 }
 
 void InstallEngineObservability(Network* network, const QueryPlan* plan,

@@ -11,12 +11,15 @@
 namespace deduce {
 
 /// Attributes an engine message to its phase and predicate for traffic
-/// accounting: kStoreMsg -> "store", kJoinPassMsg -> "sweep",
-/// kResultMsg -> "result", kAggMsg -> "agg", kAckMsg -> "ack". Reliable
-/// envelopes are attributed to their inner message (`seq` gets the
-/// transport sequence number). Unknown types land in "other". `pred` is
-/// the predicate the bytes were spent on (head predicate for passes and
-/// aggregates), or "" when the payload does not decode.
+/// accounting. The phase comes from the type code: kStoreMsg -> "store",
+/// kJoinPassMsg -> "sweep", kResultMsg -> "result", kAggMsg -> "agg",
+/// kAckMsg -> "ack", digest and repair messages -> "repair", unknown
+/// types -> "other". A reliable envelope is attributed to its inner
+/// message, and `seq` gets its transport sequence number; a damaged or
+/// nested envelope is "other". `pred` is set to the predicate the bytes
+/// were spent on (head predicate for passes and aggregates) when the
+/// payload decodes (DecodeEngineMessage) and names one, and is left as it
+/// was otherwise.
 void AttributeEngineMessage(const QueryPlan& plan, const Message& msg,
                             std::string* phase, std::string* pred,
                             uint64_t* seq);

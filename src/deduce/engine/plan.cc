@@ -88,7 +88,7 @@ std::string QueryPlan::ToString() const {
       out += StrFormat(":%d", p.spatial_radius);
     }
     if (p.home_arg) out += StrFormat(" home=arg%zu", *p.home_arg);
-    if (p.window != INT64_MAX) {
+    if (p.window != kNoWindow) {
       out += StrFormat(" window=%lld", static_cast<long long>(p.window));
     }
     out += "\n";
@@ -172,7 +172,6 @@ StatusOr<QueryPlan> CompilePlan(const Program& program,
     p.storage = p.derived && !read_preds.count(pred)
                     ? StoragePolicy::kLocal
                     : options.default_storage;
-    p.window = options.default_window;
     const PredicateDecl* decl = plan.program.FindDecl(pred);
     if (decl != nullptr) {
       if (!decl->storage_policy.empty()) {

@@ -52,8 +52,8 @@ struct PredicatePlan {
   /// Derived predicates: argument whose (integer node-id) value is the home
   /// node; unset = geographic hashing of the fact.
   std::optional<size_t> home_arg;
-  /// Sliding-window range; IncrementalOptions::kNoWindow = unbounded.
-  Timestamp window = INT64_MAX;
+  /// Sliding-window range; kNoWindow = unbounded.
+  Timestamp window = kNoWindow;
 };
 
 /// One step of a kLocalRoute plan.
@@ -90,8 +90,6 @@ struct PlannerOptions {
   /// Derived predicates default to the same policy as base streams.
   /// Multipass scheme for sweeps.
   bool multipass = false;
-  /// Default sliding window for undeclared stream predicates.
-  Timestamp default_window = INT64_MAX;
   /// Multi-tenant compilation (CompileMultiPlan): two tenants may use the
   /// same derived predicate name only when their sub-plans are identical
   /// (then the name dedups onto one shared evaluation). When a name

@@ -11,8 +11,6 @@ namespace deduce {
 
 namespace {
 
-constexpr Timestamp kNoWindow = INT64_MAX;
-
 /// Order-independent replica fingerprint: mixed so that XOR over a set is
 /// sensitive to every TupleId field and to the insert/deletion-mark state.
 /// Under the retraction protocol tombstones are additionally numbered by

@@ -11,8 +11,6 @@ namespace deduce {
 
 namespace {
 
-constexpr Timestamp kNoWindow = INT64_MAX;
-
 /// Retraction-protocol requeue rounds per deletion-critical message; each
 /// round is a full fresh reliable send (1 + max_retries attempts), so
 /// quiescence stays guaranteed even toward a permanently dead destination.
@@ -207,7 +205,7 @@ void NodeRuntime::SendEngineMessage(NodeContext* ctx, NodeId final_target,
     return;
   }
   if (transport_on() && msg.type != kAckMsg && msg.type != kReliableMsg) {
-    SendReliable(ctx, final_target, msg);
+    SendReliable(ctx, final_target, std::move(msg));
     return;
   }
   ForwardEngineMessage(ctx, final_target, std::move(msg));
@@ -268,137 +266,62 @@ void NodeRuntime::RouteOrDispatch(NodeContext* ctx, const Message& msg) {
     ForwardEngineMessage(ctx, *target, msg);
     return;
   }
-  DispatchEngineMessage(ctx, msg);
+  DispatchEngineMessage(ctx, msg.type, msg.payload);
 }
 
-void NodeRuntime::DispatchEngineMessage(NodeContext* ctx,
-                                        const Message& msg) {
+void NodeRuntime::DispatchEngineMessage(NodeContext* ctx, uint16_t type,
+                                        const std::vector<uint8_t>& payload) {
   // A frame that fails to decode — or decodes to a predicate the plan
   // never compiled — is damaged (or stale garbage), not an engine bug: it
   // is dropped and counted, never Fault()ed. The pred checks matter when
   // the checksum is off: a bit-flipped SymbolId that slipped through
   // decoding must not reach pred_plan(), which indexes by predicate.
-  auto known_pred = [this](SymbolId pred) {
+  StatusOr<EngineWire> wire = DecodeEngineMessage(type, payload);
+  if (!wire.ok()) {
+    DropFrame();
+    return;
+  }
+  auto known = [this](SymbolId pred) {
     return shared_->plan.preds.count(pred) != 0;
   };
-  switch (msg.type) {
-    case kAckMsg: {
-      StatusOr<AckWire> ack = AckWire::Decode(msg);
-      if (!ack.ok()) {
-        DropFrame();
-        return;
-      }
-      HandleAck(*ack);
-      return;
-    }
-    case kReliableMsg: {
-      StatusOr<ReliableWire> rw = ReliableWire::Decode(msg);
-      if (!rw.ok()) {
-        DropFrame();
-        return;
-      }
-      HandleReliable(ctx, *rw);
-      return;
-    }
-    case kStoreMsg: {
-      StatusOr<StoreWire> store = StoreWire::Decode(msg);
-      if (!store.ok() || !known_pred(store->pred)) {
-        DropFrame();
-        return;
-      }
-      HandleStore(ctx, std::move(store).value());
-      return;
-    }
-    case kJoinPassMsg: {
-      StatusOr<JoinPassWire> jp = JoinPassWire::Decode(msg);
-      if (!jp.ok()) {
-        DropFrame();
-        return;
-      }
-      HandleJoinPass(ctx, std::move(jp).value());
-      return;
-    }
-    case kResultMsg: {
-      StatusOr<ResultWire> rw = ResultWire::Decode(msg);
-      if (!rw.ok() || !known_pred(rw->pred)) {
-        DropFrame();
-        return;
-      }
-      HandleResult(ctx, std::move(rw).value());
-      return;
-    }
-    case kAggMsg: {
-      StatusOr<AggWire> aw = AggWire::Decode(msg);
-      if (!aw.ok()) {
-        DropFrame();
-        return;
-      }
-      HandleAgg(ctx, std::move(aw).value());
-      return;
-    }
-    case kDigestRequestMsg: {
-      StatusOr<DigestRequestWire> req = DigestRequestWire::Decode(msg);
-      if (!req.ok()) {
-        DropFrame();
-        return;
-      }
-      repair_.HandleDigestRequest(ctx, *req);
-      return;
-    }
-    case kDigestReplyMsg: {
-      StatusOr<DigestReplyWire> reply = DigestReplyWire::Decode(msg);
-      if (!reply.ok()) {
-        DropFrame();
-        return;
-      }
-      for (const PredDigest& d : reply->digests) {
-        if (!known_pred(d.pred)) {
-          DropFrame();
-          return;
-        }
-      }
-      repair_.HandleDigestReply(ctx, *reply);
-      return;
-    }
-    case kRepairPullMsg: {
-      StatusOr<RepairPullWire> pull = RepairPullWire::Decode(msg);
-      if (!pull.ok()) {
-        DropFrame();
-        return;
-      }
-      for (SymbolId p : pull->preds) {
-        if (!known_pred(p)) {
-          DropFrame();
-          return;
-        }
-      }
-      for (const RepairPullWire::Known& k : pull->known) {
-        if (!known_pred(k.pred)) {
-          DropFrame();
-          return;
-        }
-      }
-      repair_.HandleRepairPull(ctx, *pull);
-      return;
-    }
-    case kRepairPushMsg: {
-      StatusOr<RepairPushWire> push = RepairPushWire::Decode(msg);
-      if (!push.ok()) {
-        DropFrame();
-        return;
-      }
-      for (const RepairPushWire::Entry& e : push->entries) {
-        if (!known_pred(e.pred)) {
-          DropFrame();
-          return;
-        }
-      }
-      repair_.HandleRepairPush(ctx, *push);
-      return;
-    }
-    default:
-      DropFrame();
-  }
+  std::visit(
+      Overloaded{
+          [&](AckWire& w) { HandleAck(w); },
+          [&](ReliableWire& w) { HandleReliable(ctx, w); },
+          [&](StoreWire& w) {
+            if (!known(w.pred)) return DropFrame();
+            HandleStore(ctx, std::move(w));
+          },
+          [&](JoinPassWire& w) { HandleJoinPass(ctx, std::move(w)); },
+          [&](ResultWire& w) {
+            if (!known(w.pred)) return DropFrame();
+            HandleResult(ctx, std::move(w));
+          },
+          [&](AggWire& w) { HandleAgg(ctx, std::move(w)); },
+          [&](DigestRequestWire& w) { repair_.HandleDigestRequest(ctx, w); },
+          [&](DigestReplyWire& w) {
+            for (const PredDigest& d : w.digests) {
+              if (!known(d.pred)) return DropFrame();
+            }
+            repair_.HandleDigestReply(ctx, w);
+          },
+          [&](RepairPullWire& w) {
+            for (SymbolId p : w.preds) {
+              if (!known(p)) return DropFrame();
+            }
+            for (const RepairPullWire::Known& k : w.known) {
+              if (!known(k.pred)) return DropFrame();
+            }
+            repair_.HandleRepairPull(ctx, w);
+          },
+          [&](RepairPushWire& w) {
+            for (const RepairPushWire::Entry& e : w.entries) {
+              if (!known(e.pred)) return DropFrame();
+            }
+            repair_.HandleRepairPush(ctx, w);
+          },
+      },
+      *wire);
 }
 
 // --- reliable transport ----------------------------------------------------
@@ -414,34 +337,28 @@ SimTime NodeRuntime::RtoFor(NodeId dest, size_t envelope_bytes) const {
   return round * static_cast<SimTime>(hops + 2);
 }
 
-bool NodeRuntime::SheddableEnvelope(uint16_t inner_type,
+bool NodeRuntime::SheddableEnvelope(uint16_t type,
                                     const std::vector<uint8_t>& payload) {
-  Message m;
-  m.type = inner_type;
-  m.payload = payload;
-  switch (inner_type) {
-    case kStoreMsg: {
-      StatusOr<StoreWire> s = StoreWire::Decode(m);
-      return s.ok() && !s->deletion;
-    }
-    case kJoinPassMsg: {
-      StatusOr<JoinPassWire> jp = JoinPassWire::Decode(m);
-      return jp.ok() && !jp->removal;
-    }
-    case kResultMsg: {
-      StatusOr<ResultWire> r = ResultWire::Decode(m);
-      return r.ok() && !r->removal;
-    }
-    default:
-      // Aggregate, repair and control traffic is never shed: losing a
-      // contribution would skew an undegradable aggregate value, and
-      // losing a deletion leaves a phantom standing.
-      return false;
-  }
+  StatusOr<EngineWire> wire = DecodeEngineMessage(type, payload);
+  if (!wire.ok()) return false;
+  return std::visit(
+      Overloaded{
+          [](const StoreWire& w) { return !w.deletion; },
+          [](const JoinPassWire& w) { return !w.removal; },
+          [](const ResultWire& w) { return !w.removal; },
+          [](const ReliableWire& w) {
+            return SheddableEnvelope(w.inner_type, w.inner_payload);
+          },
+          // Aggregate, repair and control traffic is never shed: losing a
+          // contribution would skew an undegradable aggregate value, and
+          // losing a deletion leaves a phantom standing.
+          [](const auto&) { return false; },
+      },
+      *wire);
 }
 
-void NodeRuntime::SendReliable(NodeContext* ctx, NodeId dest,
-                               const Message& inner, int retraction_rounds) {
+void NodeRuntime::SendReliable(NodeContext* ctx, NodeId dest, Message inner,
+                               int retraction_rounds) {
   if (budget_on() && shared_->budget.max_inflight > 0 &&
       pending_.size() >= shared_->budget.max_inflight) {
     bool new_sheddable = SheddableEnvelope(inner.type, inner.payload);
@@ -450,8 +367,8 @@ void NodeRuntime::SendReliable(NodeContext* ctx, NodeId dest,
       // Drop the oldest sheddable unacked envelope to admit the new one
       // (map order: lowest dest, then lowest seq = oldest toward it).
       for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-        if (SheddableEnvelope(it->second.inner_type,
-                              it->second.inner_payload)) {
+        const Message& envelope = it->second.envelope;
+        if (SheddableEnvelope(envelope.type, envelope.payload)) {
           pending_.erase(it);
           RecordShed(ctx, "inflight");
           evicted = true;
@@ -472,13 +389,11 @@ void NodeRuntime::SendReliable(NodeContext* ctx, NodeId dest,
   rw.origin = id_;
   rw.seq = tx_seq_[dest]++;
   rw.inner_type = inner.type;
-  rw.inner_payload = inner.payload;
+  rw.inner_payload = std::move(inner.payload);
   PendingMsg pm;
   pm.dest = dest;
   pm.seq = rw.seq;
   pm.envelope = rw.Encode();
-  pm.inner_type = inner.type;
-  pm.inner_payload = inner.payload;
   pm.retries_left = shared_->transport.max_retries;
   pm.rto = RtoFor(dest, pm.envelope.WireSize());
   pm.rto_cap = shared_->transport.rto_max > 0 ? shared_->transport.rto_max
@@ -556,12 +471,7 @@ void NodeRuntime::HandleReliable(NodeContext* ctx, const ReliableWire& rw) {
     DropFrame();  // nested envelope: only a damaged frame produces one
     return;
   }
-  Message inner;
-  inner.src = rw.origin;
-  inner.dst = id_;
-  inner.type = rw.inner_type;
-  inner.payload = rw.inner_payload;
-  DispatchEngineMessage(ctx, inner);
+  DispatchEngineMessage(ctx, rw.inner_type, rw.inner_payload);
 }
 
 void NodeRuntime::HandleAck(const AckWire& ack) {
@@ -577,70 +487,81 @@ void NodeRuntime::GiveUp(NodeContext* ctx, uint64_t key) {
   pending_.erase(it);
   ++shared_->stats.gave_up_messages;
   MarkDown(pm.dest);
-  TryRepair(ctx, pm);
+  StatusOr<EngineWire> envelope =
+      DecodeEngineMessage(pm.envelope.type, pm.envelope.payload);
+  if (!envelope.ok()) return;
+  const ReliableWire& rw = std::get<ReliableWire>(*envelope);
+  StatusOr<EngineWire> inner =
+      DecodeEngineMessage(rw.inner_type, rw.inner_payload);
+  if (!inner.ok()) return;
   // Path repair salvages the *rest* of a walk or sweep, never the failed
   // destination itself. For a deletion that destination matters: a replica
   // that keeps an unmarked tuple (or a home that keeps an unremoved
   // derivation) serves phantom results forever. Keep retrying those
   // point-to-point on a slow bounded-rounds backoff — if the node is merely
   // lossy or briefly partitioned the mark eventually lands; if it is truly
-  // dead its state died with it and the budget caps the traffic.
+  // dead its state died with it and the budget caps the traffic. The retry
+  // is built before TryRepair, which moves the walk out of `inner`.
+  std::optional<Message> retry;
   if (retraction_on() && pm.retraction_rounds > 0) {
-    std::optional<Message> inner = RetractionPayload(pm);
-    if (inner.has_value()) {
-      ++shared_->stats.retraction_requeues;
-      QueueRetractionRetry(ctx, pm.dest, std::move(*inner),
-                           pm.retraction_rounds - 1);
-    }
+    retry = RetractionPayload(pm.dest, rw, *inner);
+  }
+  TryRepair(ctx, std::move(*inner));
+  if (retry.has_value()) {
+    ++shared_->stats.retraction_requeues;
+    QueueRetractionRetry(ctx, pm.dest, std::move(*retry),
+                         pm.retraction_rounds - 1);
   }
 }
 
 std::optional<Message> NodeRuntime::RetractionPayload(
-    const PendingMsg& pm) const {
-  Message inner;
-  inner.type = pm.inner_type;
-  inner.payload = pm.inner_payload;
-  switch (pm.inner_type) {
-    case kStoreMsg: {
-      StatusOr<StoreWire> store = StoreWire::Decode(inner);
-      if (!store.ok() || !store->deletion) return std::nullopt;
-      // TryRepair already continued the walk behind the failed node; only
-      // its own copy of the deletion mark is still owed.
-      StoreWire direct = std::move(*store);
-      direct.final_target = pm.dest;
-      direct.path_remaining.clear();
-      return direct.Encode();
-    }
-    case kJoinPassMsg: {
-      StatusOr<JoinPassWire> jp = JoinPassWire::Decode(inner);
-      if (!jp.ok() || !jp->removal) return std::nullopt;
-      if (jp->delta_index >= shared_->plan.deltas.size()) return std::nullopt;
-      // A lost removal pass strands every derivation its join step at the
-      // failed node would have retracted. RepairJoinPass re-routes sweeps
-      // *around* that node (and cannot re-route centroid/local routes at
-      // all), so the failed node's own step is what is still owed.
-      JoinPassWire direct = std::move(*jp);
-      direct.final_target = pm.dest;
-      const DeltaPlan& delta = shared_->plan.deltas[direct.delta_index];
-      if (delta.strategy == JoinStrategy::kColumnSweep ||
-          delta.strategy == JoinStrategy::kSerpentine) {
-        direct.path_remaining.clear();  // tail already salvaged by repair
-      }
-      return direct.Encode();
-    }
-    case kResultMsg: {
-      StatusOr<ResultWire> rw = ResultWire::Decode(inner);
-      if (!rw.ok() || !rw->removal) return std::nullopt;
-      return inner;
-    }
-    case kAggMsg: {
-      StatusOr<AggWire> aw = AggWire::Decode(inner);
-      if (!aw.ok() || !aw->removal) return std::nullopt;
-      return inner;
-    }
-    default:
-      return std::nullopt;
-  }
+    NodeId dest, const ReliableWire& envelope, const EngineWire& inner) const {
+  // Removal results and aggregates are owed to one home node: re-send the
+  // frame as it was.
+  auto as_sent = [&envelope]() {
+    Message m;
+    m.type = envelope.inner_type;
+    m.payload = envelope.inner_payload;
+    return std::optional<Message>(std::move(m));
+  };
+  return std::visit(
+      Overloaded{
+          [&](const StoreWire& w) -> std::optional<Message> {
+            if (!w.deletion) return std::nullopt;
+            // TryRepair already continued the walk behind the failed node;
+            // only its own copy of the deletion mark is still owed.
+            StoreWire direct = w;
+            direct.final_target = dest;
+            direct.path_remaining.clear();
+            return direct.Encode();
+          },
+          [&](const JoinPassWire& w) -> std::optional<Message> {
+            if (!w.removal || w.delta_index >= shared_->plan.deltas.size()) {
+              return std::nullopt;
+            }
+            // A lost removal pass strands every derivation its join step at
+            // the failed node would have retracted. RepairJoinPass re-routes
+            // sweeps *around* that node (and cannot re-route centroid/local
+            // routes at all), so the failed node's own step is what is
+            // still owed.
+            JoinPassWire direct = w;
+            direct.final_target = dest;
+            const DeltaPlan& delta = shared_->plan.deltas[direct.delta_index];
+            if (delta.strategy == JoinStrategy::kColumnSweep ||
+                delta.strategy == JoinStrategy::kSerpentine) {
+              direct.path_remaining.clear();  // tail already salvaged
+            }
+            return direct.Encode();
+          },
+          [&](const ResultWire& w) {
+            return w.removal ? as_sent() : std::nullopt;
+          },
+          [&](const AggWire& w) {
+            return w.removal ? as_sent() : std::nullopt;
+          },
+          [](const auto&) -> std::optional<Message> { return std::nullopt; },
+      },
+      inner);
 }
 
 void NodeRuntime::QueueRetractionRetry(NodeContext* ctx, NodeId dest,
@@ -657,32 +578,25 @@ void NodeRuntime::QueueRetractionRetry(NodeContext* ctx, NodeId dest,
   });
 }
 
-void NodeRuntime::TryRepair(NodeContext* ctx, const PendingMsg& pm) {
-  Message inner;
-  inner.type = pm.inner_type;
-  inner.payload = pm.inner_payload;
-  switch (pm.inner_type) {
-    case kJoinPassMsg: {
-      StatusOr<JoinPassWire> jp = JoinPassWire::Decode(inner);
-      if (jp.ok()) RepairJoinPass(ctx, std::move(*jp));
-      return;
-    }
-    case kStoreMsg: {
-      // The dead node's replica is lost (the rest of its row still holds
-      // the tuple); the walk continues at the first alive node behind it.
-      StatusOr<StoreWire> store = StoreWire::Decode(inner);
-      if (!store.ok() || store->path_remaining.empty()) return;
-      std::vector<NodeId> visit = std::move(store->path_remaining);
-      if (SendStoreWalk(ctx, std::move(*store), std::move(visit))) {
-        ++shared_->stats.repaired_messages;
-      }
-      return;
-    }
-    default:
-      // Result / aggregate messages name a unique home node; nothing can
-      // stand in for it. The derivation is lost with the node.
-      return;
-  }
+void NodeRuntime::TryRepair(NodeContext* ctx, EngineWire inner) {
+  std::visit(
+      Overloaded{
+          [&](JoinPassWire& jp) { RepairJoinPass(ctx, std::move(jp)); },
+          [&](StoreWire& store) {
+            // The dead node's replica is lost (the rest of its row still
+            // holds the tuple); the walk continues at the first alive node
+            // behind it.
+            if (store.path_remaining.empty()) return;
+            std::vector<NodeId> visit = std::move(store.path_remaining);
+            if (SendStoreWalk(ctx, std::move(store), std::move(visit))) {
+              ++shared_->stats.repaired_messages;
+            }
+          },
+          // Result / aggregate messages name a unique home node; nothing
+          // can stand in for it. The derivation is lost with the node.
+          [](auto&) {},
+      },
+      inner);
 }
 
 void NodeRuntime::RepairJoinPass(NodeContext* ctx, JoinPassWire jp) {
@@ -1123,7 +1037,7 @@ bool NodeRuntime::NegMatchLocally(SymbolId pred,
     if (exclude.has_value() && id == *exclude) continue;
     if (!rep.have_insert) continue;
     if (rep.del_ts.has_value()) continue;
-    if (window != INT64_MAX && rep.gen_ts <= update_ts - window) continue;
+    if (window != kNoWindow && rep.gen_ts <= update_ts - window) continue;
     if (rep.fact == ground) return true;
   }
   return false;
@@ -1302,20 +1216,12 @@ void NodeRuntime::ProcessPartialsHere(NodeContext* ctx, const DeltaPlan& delta,
         return p.bindings.IsBound(v);
       });
       if (!bound) continue;
-      std::vector<Term> args;
-      bool ok = true;
-      for (const Term& a : lit.atom.args) {
-        StatusOr<Term> n = EvalTerm(p.bindings.Apply(a), shared_->registry);
-        if (!n.ok() || !n->is_ground()) {
-          ok = false;
-          break;
-        }
-        args.push_back(std::move(n).value());
-      }
-      if (!ok) continue;
+      std::optional<std::vector<Term>> args =
+          GroundArgs(lit.atom.args, p.bindings, shared_->registry);
+      if (!args.has_value()) continue;
       std::optional<TupleId> exclude;
       if (is_pinned) exclude = update_id;
-      if (NegMatchLocally(lit.atom.predicate, args, update_ts, exclude)) {
+      if (NegMatchLocally(lit.atom.predicate, *args, update_ts, exclude)) {
         dead = true;
         break;
       }
@@ -1673,21 +1579,13 @@ void NodeRuntime::RunRouteStep(NodeContext* ctx, JoinPassWire jp) {
           out.push_back(std::move(p));
           continue;
         }
-        std::vector<Term> args;
-        bool ok = true;
-        for (const Term& a : lit.atom.args) {
-          StatusOr<Term> n = EvalTerm(p.bindings.Apply(a), shared_->registry);
-          if (!n.ok() || !n->is_ground()) {
-            ok = false;
-            break;
-          }
-          args.push_back(std::move(n).value());
-        }
-        if (!ok) {
+        std::optional<std::vector<Term>> args =
+            GroundArgs(lit.atom.args, p.bindings, shared_->registry);
+        if (!args.has_value()) {
           Fault("negated route step not ground: " + lit.ToString());
           continue;
         }
-        if (NegMatchLocally(lit.atom.predicate, args, jp.update_ts,
+        if (NegMatchLocally(lit.atom.predicate, *args, jp.update_ts,
                             std::nullopt)) {
           continue;  // blocked
         }
@@ -1737,21 +1635,13 @@ void NodeRuntime::EmitComplete(NodeContext* ctx, const DeltaPlan& delta,
       continue;
     }
     // Build the head.
-    std::vector<Term> args;
-    bool ground = true;
-    for (const Term& a : rule.head.args) {
-      StatusOr<Term> n = EvalTerm(p.bindings.Apply(a), shared_->registry);
-      if (!n.ok() || !n->is_ground()) {
-        ground = false;
-        break;
-      }
-      args.push_back(std::move(n).value());
-    }
-    if (!ground) {
+    std::optional<std::vector<Term>> args =
+        GroundArgs(rule.head.args, p.bindings, shared_->registry);
+    if (!args.has_value()) {
       Fault("non-ground head at emission for rule " + rule.ToString());
       continue;
     }
-    Fact head(rule.head.predicate, std::move(args));
+    Fact head(rule.head.predicate, std::move(*args));
 
     ResultWire rw;
     rw.pred = head.predicate();
@@ -1802,26 +1692,18 @@ void NodeRuntime::LaunchAggregates(NodeContext* ctx, SymbolId pred,
     filter_plan.pinned_literal = plan.source_literal;
     if (!EvalFilters(filter_plan, &p)) continue;
     // Group key: the head arguments except the aggregate position.
-    AggWire aw;
-    aw.plan_index = static_cast<uint32_t>(plan_index);
-    aw.removal = op == StreamOp::kDelete;
-    bool ok = true;
-    for (size_t i = 0; i < rule.head.args.size(); ++i) {
-      if (i == plan.agg_position) continue;
-      StatusOr<Term> n =
-          EvalTerm(p.bindings.Apply(rule.head.args[i]), shared_->registry);
-      if (!n.ok() || !n->is_ground()) {
-        ok = false;
-        break;
-      }
-      aw.group.push_back(std::move(n).value());
-    }
+    std::optional<std::vector<Term>> group = GroundArgs(
+        rule.head.args, p.bindings, shared_->registry, plan.agg_position);
     StatusOr<Term> value =
         EvalTerm(p.bindings.Apply(plan.input), shared_->registry);
-    if (!ok || !value.ok() || !value->is_ground()) {
+    if (!group.has_value() || !value.ok() || !value->is_ground()) {
       Fault("aggregate group/value not ground for rule " + rule.ToString());
       continue;
     }
+    AggWire aw;
+    aw.plan_index = static_cast<uint32_t>(plan_index);
+    aw.removal = op == StreamOp::kDelete;
+    aw.group = std::move(*group);
     aw.value = std::move(value).value();
     aw.contributor = id;
     aw.update_ts = update_ts;

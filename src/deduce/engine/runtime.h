@@ -471,9 +471,9 @@ class NodeRuntime : public NodeApp {
   struct PendingMsg {
     NodeId dest = kNoNode;
     uint32_t seq = 0;
-    Message envelope;                    ///< Encoded ReliableWire.
-    uint16_t inner_type = 0;
-    std::vector<uint8_t> inner_payload;  ///< For path repair on give-up.
+    /// Encoded ReliableWire. It is the only copy of the message it
+    /// carries: the shed and give-up paths decode that message from here.
+    Message envelope;
     int retries_left = 0;
     SimTime rto = 0;                     ///< Next timeout (backed off).
     SimTime rto_cap = 0;                 ///< Backoff ceiling (0 = none).
@@ -491,8 +491,11 @@ class NodeRuntime : public NodeApp {
   bool transport_on() const { return shared_->transport.reliable; }
   /// Forwards a frame not addressed to this node, or dispatches it.
   void RouteOrDispatch(NodeContext* ctx, const Message& msg);
-  /// Dispatches a message addressed to this node to its handler.
-  void DispatchEngineMessage(NodeContext* ctx, const Message& msg);
+  /// Decodes a message addressed to this node (a frame's payload, or the
+  /// message inside an envelope) and hands it to its handler; a message
+  /// that does not decode, or names a predicate the plan lacks, is dropped.
+  void DispatchEngineMessage(NodeContext* ctx, uint16_t type,
+                             const std::vector<uint8_t>& payload);
   /// Routes an encoded engine message one hop toward `final_target`,
   /// detouring around suspected-down nodes when the transport is on.
   /// Returns the hop's MAC ack (false also when unroutable).
@@ -501,24 +504,29 @@ class NodeRuntime : public NodeApp {
   /// Wraps `inner` in a ReliableWire envelope and transmits it, arming the
   /// retransmission timer. `retraction_rounds` carries the requeue budget
   /// of a retraction-protocol retry; -1 = fresh send (budget from options).
-  void SendReliable(NodeContext* ctx, NodeId dest, const Message& inner,
+  void SendReliable(NodeContext* ctx, NodeId dest, Message inner,
                     int retraction_rounds = -1);
   void TransmitPending(NodeContext* ctx, uint64_t key);
   void HandleReliable(NodeContext* ctx, const ReliableWire& rw);
   void HandleAck(const AckWire& ack);
   /// Retry budget exhausted: suspect the destination and try path repair.
   void GiveUp(NodeContext* ctx, uint64_t key);
-  void TryRepair(NodeContext* ctx, const PendingMsg& pm);
+  /// Continues a given-up walk or sweep (`inner`, the message its envelope
+  /// carried) behind the failed node.
+  void TryRepair(NodeContext* ctx, EngineWire inner);
 
   // --- retraction protocol (TransportOptions::retraction) ---
   bool retraction_on() const {
     return shared_->transport.reliable && shared_->transport.retraction;
   }
   /// The point-to-point message to requeue for a deletion-critical
-  /// give-up: the deletion-mark store (walk remainder stripped — path
-  /// repair already salvaged it) or the removal result/aggregate, aimed
-  /// at `pm.dest`. nullopt when `pm` is not deletion-critical.
-  std::optional<Message> RetractionPayload(const PendingMsg& pm) const;
+  /// give-up of `envelope` (whose message decoded to `inner`): the
+  /// deletion-mark store (walk remainder stripped — path repair already
+  /// salvaged it) or the removal result/aggregate, aimed at `dest`.
+  /// nullopt when the message is not deletion-critical.
+  std::optional<Message> RetractionPayload(NodeId dest,
+                                           const ReliableWire& envelope,
+                                           const EngineWire& inner) const;
   /// Re-sends `inner` reliably to `dest` after a backoff proportional to
   /// the rounds already consumed; `rounds_left` rides in the new
   /// PendingMsg so the budget decreases monotonically.
@@ -628,11 +636,12 @@ class NodeRuntime : public NodeApp {
   bool ShedTaints(SymbolId pred) const;
   /// Head predicate of the rule a delta plan evaluates.
   SymbolId DeltaHead(const DeltaPlan& delta) const;
-  /// True when the envelope for `inner_type`/payload may be shed: only
+  /// True when an envelope around the message `type`/`payload` may be
+  /// shed (given an envelope, the message inside it decides): only
   /// additive traffic (insert stores, insert join passes, insert
   /// results). Deletion-critical, aggregate, repair and transport-control
   /// messages must never be dropped by the budget.
-  static bool SheddableEnvelope(uint16_t inner_type,
+  static bool SheddableEnvelope(uint16_t type,
                                 const std::vector<uint8_t>& payload);
   /// True when this node already stores `max_replicas_per_pred` live
   /// (insert-seen, unmarked) replicas of `pred`.

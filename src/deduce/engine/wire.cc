@@ -1,6 +1,7 @@
 #include "deduce/engine/wire.h"
 
 #include <algorithm>
+#include <string>
 #include <type_traits>
 
 #include "deduce/net/codec.h"
@@ -313,6 +314,18 @@ StatusOr<W> DecodeFields(const Message& msg) {
   return out;
 }
 
+/// DecodeFields into the EngineWire alternative W, built in place: the
+/// one return of `out` lets it live in the caller's storage, so the
+/// decoded struct is never moved.
+template <typename W>
+StatusOr<EngineWire> DecodeAlternative(const std::vector<uint8_t>& payload) {
+  StatusOr<EngineWire> out(std::in_place, std::in_place_type<W>);
+  FieldReader io(payload);
+  Fields(io, std::get<W>(*out));
+  if (!io.status().ok()) out = io.status();
+  return out;
+}
+
 }  // namespace
 
 Message StoreWire::Encode() const { return EncodeFields(*this, kStoreMsg); }
@@ -377,6 +390,35 @@ StatusOr<RepairPushWire> RepairPushWire::Decode(const Message& msg) {
   return DecodeFields<RepairPushWire>(msg);
 }
 
+StatusOr<EngineWire> DecodeEngineMessage(uint16_t type,
+                                         const std::vector<uint8_t>& payload) {
+  switch (type) {
+    case kStoreMsg:
+      return DecodeAlternative<StoreWire>(payload);
+    case kJoinPassMsg:
+      return DecodeAlternative<JoinPassWire>(payload);
+    case kResultMsg:
+      return DecodeAlternative<ResultWire>(payload);
+    case kAggMsg:
+      return DecodeAlternative<AggWire>(payload);
+    case kAckMsg:
+      return DecodeAlternative<AckWire>(payload);
+    case kReliableMsg:
+      return DecodeAlternative<ReliableWire>(payload);
+    case kDigestRequestMsg:
+      return DecodeAlternative<DigestRequestWire>(payload);
+    case kDigestReplyMsg:
+      return DecodeAlternative<DigestReplyWire>(payload);
+    case kRepairPullMsg:
+      return DecodeAlternative<RepairPullWire>(payload);
+    case kRepairPushMsg:
+      return DecodeAlternative<RepairPushWire>(payload);
+  }
+  std::string what = "unknown engine message type ";
+  what += std::to_string(type);
+  return Status::InvalidArgument(what);
+}
+
 StatusOr<NodeId> PeekFinalTarget(const Message& msg) {
   PayloadReader r(msg.payload);
   DEDUCE_ASSIGN_OR_RETURN(int64_t target, r.ReadInt());
@@ -385,72 +427,44 @@ StatusOr<NodeId> PeekFinalTarget(const Message& msg) {
 
 namespace {
 
-void CollectTraceIdsInto(const Message& msg, int depth,
-                         std::vector<uint64_t>* out) {
-  switch (msg.type) {
-    case kStoreMsg: {
-      StatusOr<StoreWire> w = StoreWire::Decode(msg);
-      if (w.ok()) out->push_back(TraceIdFor(w->id));
-      break;
-    }
-    case kJoinPassMsg: {
-      StatusOr<JoinPassWire> w = JoinPassWire::Decode(msg);
-      if (!w.ok()) break;
-      out->push_back(TraceIdFor(w->update_id));
-      for (const PartialWire& p : w->partials) {
-        for (const auto& [literal, id] : p.support) {
-          out->push_back(TraceIdFor(id));
-        }
-      }
-      break;
-    }
-    case kResultMsg: {
-      StatusOr<ResultWire> w = ResultWire::Decode(msg);
-      if (!w.ok()) break;
-      for (const TupleId& id : w->support) out->push_back(TraceIdFor(id));
-      break;
-    }
-    case kAggMsg: {
-      StatusOr<AggWire> w = AggWire::Decode(msg);
-      if (w.ok()) out->push_back(TraceIdFor(w->contributor));
-      break;
-    }
-    case kRepairPullMsg: {
-      StatusOr<RepairPullWire> w = RepairPullWire::Decode(msg);
-      if (!w.ok()) break;
-      for (const RepairPullWire::Known& k : w->known) {
-        out->push_back(TraceIdFor(k.id));
-      }
-      break;
-    }
-    case kRepairPushMsg: {
-      StatusOr<RepairPushWire> w = RepairPushWire::Decode(msg);
-      if (!w.ok()) break;
-      for (const RepairPushWire::Entry& e : w->entries) {
-        out->push_back(TraceIdFor(e.id));
-      }
-      break;
-    }
-    case kReliableMsg: {
-      if (depth > 0) break;  // envelopes never nest; guard anyway
-      StatusOr<ReliableWire> w = ReliableWire::Decode(msg);
-      if (!w.ok()) break;
-      Message inner;
-      inner.type = w->inner_type;
-      inner.payload = w->inner_payload;
-      CollectTraceIdsInto(inner, depth + 1, out);
-      break;
-    }
-    default:
-      break;  // acks, digests: no tuples on board
-  }
+void CollectTraceIdsInto(uint16_t type, const std::vector<uint8_t>& payload,
+                         bool in_envelope, std::vector<uint64_t>* out) {
+  StatusOr<EngineWire> wire = DecodeEngineMessage(type, payload);
+  if (!wire.ok()) return;
+  auto add = [out](const TupleId& id) { out->push_back(TraceIdFor(id)); };
+  std::visit(
+      Overloaded{
+          [&](const StoreWire& w) { add(w.id); },
+          [&](const JoinPassWire& w) {
+            add(w.update_id);
+            for (const PartialWire& p : w.partials) {
+              for (const auto& [literal, id] : p.support) add(id);
+            }
+          },
+          [&](const ResultWire& w) {
+            for (const TupleId& id : w.support) add(id);
+          },
+          [&](const AggWire& w) { add(w.contributor); },
+          [&](const RepairPullWire& w) {
+            for (const RepairPullWire::Known& k : w.known) add(k.id);
+          },
+          [&](const RepairPushWire& w) {
+            for (const RepairPushWire::Entry& e : w.entries) add(e.id);
+          },
+          [&](const ReliableWire& w) {
+            if (in_envelope) return;  // envelopes never nest; guard anyway
+            CollectTraceIdsInto(w.inner_type, w.inner_payload, true, out);
+          },
+          [](const auto&) {},  // acks, digests: no tuples on board
+      },
+      *wire);
 }
 
 }  // namespace
 
 std::vector<uint64_t> CollectTraceIds(const Message& msg) {
   std::vector<uint64_t> out;
-  CollectTraceIdsInto(msg, 0, &out);
+  CollectTraceIdsInto(msg.type, msg.payload, false, &out);
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;

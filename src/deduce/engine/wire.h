@@ -1,6 +1,7 @@
 #ifndef DEDUCE_ENGINE_WIRE_H_
 #define DEDUCE_ENGINE_WIRE_H_
 
+#include <variant>
 #include <vector>
 
 #include "deduce/common/statusor.h"
@@ -223,6 +224,30 @@ struct RepairPushWire {
   Message Encode() const;
   static StatusOr<RepairPushWire> Decode(const Message& msg);
 };
+
+/// Any engine message, decoded: one alternative per EngineMsgType.
+using EngineWire =
+    std::variant<StoreWire, JoinPassWire, ResultWire, AggWire, AckWire,
+                 ReliableWire, DigestRequestWire, DigestReplyWire,
+                 RepairPullWire, RepairPushWire>;
+
+/// Decodes the payload of an engine message of type `type` straight into
+/// that type's alternative. This is the one place that maps an
+/// EngineMsgType to its struct: dispatch, shedding, give-up repair,
+/// traffic attribution and trace-id collection all visit its result. A
+/// payload that does not decode fails with the status the type's own
+/// Decode gives; an unknown type is an InvalidArgument error.
+StatusOr<EngineWire> DecodeEngineMessage(uint16_t type,
+                                         const std::vector<uint8_t>& payload);
+
+/// One std::visit visitor made of several lambdas, e.g.
+/// `Overloaded{[](const StoreWire& w) {...}, [](const auto&) {...}}`.
+template <typename... Fs>
+struct Overloaded : Fs... {
+  using Fs::operator()...;
+};
+template <typename... Fs>
+Overloaded(Fs...) -> Overloaded<Fs...>;
 
 /// Reads only the final_target field (first field of every engine message)
 /// so intermediate nodes can forward without full decoding.

@@ -161,13 +161,13 @@ const IncrementalEngine::Entry* IncrementalEngine::FindEntry(
 Timestamp IncrementalEngine::WindowOf(SymbolId pred) const {
   const PredicateDecl* decl = program_.FindDecl(pred);
   if (decl != nullptr && decl->window.has_value()) return *decl->window;
-  return options_.default_window;
+  return kNoWindow;
 }
 
 void IncrementalEngine::ScheduleExpiry(SymbolId pred, const Fact& fact,
                                        Timestamp gen_ts) {
   Timestamp w = WindowOf(pred);
-  if (w == IncrementalOptions::kNoWindow) return;
+  if (w == kNoWindow) return;
   expiry_.push(ExpiryItem{gen_ts + w, expiry_order_++, pred, fact, gen_ts});
 }
 

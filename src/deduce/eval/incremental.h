@@ -55,12 +55,7 @@ struct IncrementalOptions {
   MaintenanceStrategy strategy = MaintenanceStrategy::kDerivations;
   /// nullptr uses BuiltinRegistry::Default().
   const BuiltinRegistry* registry = nullptr;
-  /// Window applied to streams without a `.decl ... window N`;
-  /// kNoWindow = never expire.
-  Timestamp default_window = kNoWindow;
   uint64_t max_facts = 5'000'000;
-
-  static constexpr Timestamp kNoWindow = INT64_MAX;
 };
 
 /// Incremental bottom-up maintenance of a deductive program over timestamped

@@ -28,6 +28,21 @@ Term NormalizePattern(const Term& pattern, const Subst& subst,
 
 }  // namespace
 
+std::optional<std::vector<Term>> GroundArgs(const std::vector<Term>& args,
+                                            const Subst& subst,
+                                            const BuiltinRegistry& registry,
+                                            std::optional<size_t> skip) {
+  std::vector<Term> out;
+  out.reserve(args.size());
+  for (size_t i = 0; i < args.size(); ++i) {
+    if (i == skip) continue;
+    StatusOr<Term> n = Normalize(args[i], subst, registry);
+    if (!n.ok() || !n->is_ground()) return std::nullopt;
+    out.push_back(std::move(n).value());
+  }
+  return out;
+}
+
 /// Matches `pattern` against a ground term like MatchTerm, but additionally
 /// solves simple arithmetic patterns: Var+c, Var-c, c+Var against an integer
 /// constant. This is what lets an update to a stream bind *through* a

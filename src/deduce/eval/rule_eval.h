@@ -53,6 +53,15 @@ bool SolveMatchTerms(const std::vector<Term>& patterns,
                      const std::vector<Term>& grounds, Subst* subst,
                      const BuiltinRegistry& registry);
 
+/// `args` under `subst`, each with its bindings applied and registered
+/// functions evaluated, skipping the argument at `skip`; nullopt unless
+/// every one evaluates to a ground term. Builds heads, group keys and
+/// negated atoms from a partial's bindings.
+std::optional<std::vector<Term>> GroundArgs(
+    const std::vector<Term>& args, const Subst& subst,
+    const BuiltinRegistry& registry,
+    std::optional<size_t> skip = std::nullopt);
+
 /// Rejects rows for SolveMatchTerms(patterns, row, &subst) before a caller
 /// copies `subst` to try them. Each pattern is normalized once, as
 /// SolveMatchTerm does. A pattern that normalizes to a ground term keeps

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -236,6 +237,100 @@ TEST(BudgetTest, FarthestWindowPolicyEvictsOldestAndCountsIt) {
   for (const std::string& f : run.results) {
     EXPECT_TRUE(full.count(f)) << "phantom result " << f;
   }
+}
+
+/// A 4x4 grid whose node 1 is dead, running the two-stream join with the
+/// reliable transport and an in-flight cap of one envelope per node. Row
+/// storage walks node 0's tuples toward node 1 first, and the envelope
+/// aimed at it stays pending until its retries run out.
+struct InflightCapRun {
+  explicit InflightCapRun(ShedPolicy policy)
+      : net(Topology::Grid(4), ExactLink(), TestSeed(41)) {
+    auto program = ParseProgram(kTwoStreamJoin);
+    EXPECT_TRUE(program.ok()) << program.status();
+    net.FailNode(1);
+    EngineOptions options;
+    options.transport.reliable = true;
+    options.budget.enabled = true;
+    options.budget.max_inflight = 1;
+    options.budget.policy = policy;
+    auto created = DistributedEngine::Create(&net, *program, options);
+    EXPECT_TRUE(created.ok()) << created.status();
+    engine = std::move(created).value();
+    RecordEnvelopedStores(&net, 0, &sent);
+  }
+
+  /// Injects r(k, 0, k) at node 0 at the current instant.
+  Status Inject(StreamOp op, int k) {
+    return engine->Inject(0, op, R(k));
+  }
+  static Fact R(int k) {
+    return Fact(Intern("r"), {Term::Int(k), Term::Int(0), Term::Int(k)});
+  }
+  /// Stores of r(k, ...) node 0 sent toward `target`.
+  size_t SentTo(int k, NodeId target) const {
+    size_t n = 0;
+    for (const StoreWire& w : sent) {
+      if (w.fact == R(k) && w.final_target == target) ++n;
+    }
+    return n;
+  }
+
+  Network net;
+  std::unique_ptr<DistributedEngine> engine;
+  std::vector<StoreWire> sent;  ///< Stores node 0 sent in envelopes.
+};
+
+TEST(BudgetTest, InflightCapShedsArrivingInsertsButAdmitsDeletions) {
+  InflightCapRun run(ShedPolicy::kShedNewest);
+  const EngineStats& stats = run.engine->stats();
+  // r(1)'s walk heads for dead node 1 and fills the cap.
+  ASSERT_TRUE(run.Inject(StreamOp::kInsert, 1).ok());
+  ASSERT_EQ(run.sent.size(), 1u);
+  EXPECT_EQ(run.sent[0].final_target, 1);
+  EXPECT_EQ(stats.sheds, 0u);
+  // r(2)'s walk skips the suspected node 1 and is an insert: shed.
+  ASSERT_TRUE(run.Inject(StreamOp::kInsert, 2).ok());
+  EXPECT_EQ(stats.sheds, 1u);
+  EXPECT_EQ(run.sent.size(), 1u);
+  // Deleting r(1) is deletion-critical: admitted over the cap.
+  ASSERT_TRUE(run.Inject(StreamOp::kDelete, 1).ok());
+  EXPECT_EQ(stats.sheds, 1u);
+  ASSERT_EQ(run.sent.size(), 2u);
+  EXPECT_TRUE(run.sent[1].deletion);
+  EXPECT_EQ(run.sent[1].fact, InflightCapRun::R(1));
+  EXPECT_EQ(run.sent[1].final_target, 2);
+  // The pending r(1) envelope was never evicted: it is retransmitted until
+  // its retries run out.
+  run.net.sim().Run();
+  EXPECT_EQ(run.SentTo(1, 1), 5u);  // 1 + TransportOptions::max_retries
+  EXPECT_EQ(run.SentTo(2, 2), 0u);
+}
+
+TEST(BudgetTest, InflightCapUnderFarthestWindowEvictsThePendingInsert) {
+  InflightCapRun run(ShedPolicy::kShedFarthestWindow);
+  const EngineStats& stats = run.engine->stats();
+  ASSERT_TRUE(run.Inject(StreamOp::kInsert, 1).ok());
+  ASSERT_EQ(run.sent.size(), 1u);
+  // r(2) evicts r(1)'s pending insert envelope and is sent.
+  ASSERT_TRUE(run.Inject(StreamOp::kInsert, 2).ok());
+  EXPECT_EQ(stats.sheds, 1u);
+  ASSERT_EQ(run.sent.size(), 2u);
+  EXPECT_EQ(run.sent[1].fact, InflightCapRun::R(2));
+  EXPECT_EQ(run.sent[1].final_target, 2);
+  // The deletion of r(1) evicts r(2)'s envelope in turn.
+  ASSERT_TRUE(run.Inject(StreamOp::kDelete, 1).ok());
+  EXPECT_EQ(stats.sheds, 2u);
+  ASSERT_EQ(run.sent.size(), 3u);
+  EXPECT_TRUE(run.sent[2].deletion);
+  // A pending deletion is never evicted: the next insert is shed instead.
+  ASSERT_TRUE(run.Inject(StreamOp::kInsert, 3).ok());
+  EXPECT_EQ(stats.sheds, 3u);
+  EXPECT_EQ(run.sent.size(), 3u);
+  // The evicted envelopes are never retransmitted.
+  run.net.sim().Run();
+  EXPECT_EQ(run.SentTo(1, 1), 1u);
+  EXPECT_EQ(run.SentTo(2, 2), 1u);
 }
 
 TEST(BudgetTest, EvalBudgetShedsJoinWorkAsDegraded) {

@@ -298,6 +298,52 @@ TEST(FaultToleranceTest, BackoffPreventsRetransmitStormsTowardDeadPeer) {
   EXPECT_LT(backoff, fixed / 2);  // ...but no longer flooded
 }
 
+TEST(FaultToleranceTest, DeletionMarkOwedToADeadBandNodeIsResentToItAlone) {
+  auto program = ParseProgram(kTwoStreamJoin);
+  ASSERT_TRUE(program.ok()) << program.status();
+  Network net(Topology::Grid(4), ExactLink(), TestSeed(43));
+  EngineOptions options;
+  options.transport.reliable = true;
+  options.transport.retraction = true;
+  auto engine = DistributedEngine::Create(&net, *program, options);
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  std::vector<StoreWire> sent;  // stores node 0 sends in envelopes
+  RecordEnvelopedStores(&net, 0, &sent);
+  Fact r(Intern("r"), {Term::Int(1), Term::Int(0), Term::Int(1)});
+  // Row storage walks r from node 0 through nodes 1, 2 and 3.
+  ASSERT_TRUE((*engine)->Inject(0, StreamOp::kInsert, r).ok());
+  net.sim().RunUntil(net.sim().now() + 300'000);
+  net.FailNode(1);
+  sent.clear();
+  ASSERT_TRUE((*engine)->Inject(0, StreamOp::kDelete, r).ok());
+  net.sim().Run();
+
+  const EngineStats& stats = (*engine)->stats();
+  EXPECT_GT(stats.gave_up_messages, 0u);
+  EXPECT_GT(stats.repaired_messages, 0u);
+  EXPECT_GT(stats.retraction_requeues, 0u);
+  ASSERT_FALSE(sent.empty());
+  // The deletion walk heads for node 1 with the rest of the row behind it.
+  EXPECT_EQ(sent[0].final_target, 1);
+  EXPECT_EQ(sent[0].path_remaining, (std::vector<NodeId>{2, 3}));
+  size_t walks = 0;
+  size_t repaired = 0;
+  size_t owed = 0;
+  for (const StoreWire& w : sent) {
+    EXPECT_TRUE(w.deletion);
+    EXPECT_EQ(w.fact, r);
+    if (w.final_target == 1 && !w.path_remaining.empty()) ++walks;
+    // Path repair carries the mark past the dead node...
+    if (w.final_target == 2) ++repaired;
+    // ...and node 1's own mark is re-sent to it alone.
+    if (w.final_target == 1 && w.path_remaining.empty()) ++owed;
+  }
+  EXPECT_EQ(walks, 1u + static_cast<size_t>(options.transport.max_retries));
+  EXPECT_GT(repaired, 0u);
+  EXPECT_GT(owed, 0u);
+  EXPECT_EQ(walks + repaired + owed, sent.size());
+}
+
 /// Runs the lossy reliable workload and returns (results, stats) with
 /// batched delivery switched on or off.
 std::pair<std::set<std::string>, EngineStats> LossyReliableRun(bool batched,

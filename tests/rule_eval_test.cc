@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
+#include <vector>
 
 #include "deduce/datalog/analysis.h"
 #include "deduce/datalog/parser.h"
@@ -301,6 +303,31 @@ TEST(GroundColumnFilterTest, NeverRejectsARowTheMatcherAccepts) {
   // only in the repeated M or in f's first argument (f(K, Y) is not
   // ground, so the matcher decides it).
   EXPECT_EQ(admitted, 4);
+}
+
+TEST(GroundArgsTest, EvaluatesEveryArgumentOrGivesUp) {
+  BuiltinRegistry registry = BuiltinRegistry::Default();
+  std::vector<Term> args;
+  for (const char* text : {"K", "N + 1", "f(K, 2)"}) {
+    args.push_back(ParseTerm(text).value());
+  }
+  Subst bindings = ProbeBindings();
+  std::optional<std::vector<Term>> all = GroundArgs(args, bindings, registry);
+  ASSERT_TRUE(all.has_value());
+  std::vector<Term> want = Row({1, 5});
+  want.push_back(Term::Function(Intern("f"), {Term::Int(1), Term::Int(2)}));
+  EXPECT_EQ(*all, want);
+  // The skipped argument is left out.
+  EXPECT_EQ(GroundArgs(args, bindings, registry, 1),
+            (std::vector<Term>{want[0], want[2]}));
+  // An unbound variable, even inside a function, makes the list non-ground;
+  // skipping it makes it ground again.
+  args.push_back(ParseTerm("g(M)").value());
+  EXPECT_FALSE(GroundArgs(args, bindings, registry).has_value());
+  EXPECT_TRUE(GroundArgs(args, bindings, registry, 3).has_value());
+  // So does a call that fails to evaluate.
+  args[3] = ParseTerm("K / 0").value();
+  EXPECT_FALSE(GroundArgs(args, bindings, registry).has_value());
 }
 
 }  // namespace

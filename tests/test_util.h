@@ -5,6 +5,11 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <utility>
+#include <vector>
+
+#include "deduce/engine/wire.h"
+#include "deduce/net/network.h"
 
 namespace deduce {
 
@@ -20,6 +25,24 @@ inline uint64_t TestSeed(uint64_t base) {
   unsigned long long v = std::strtoull(env, &end, 10);
   if (end == env || *end != '\0') return base;
   return base + 1'000'003 * static_cast<uint64_t>(v);
+}
+
+/// Appends to `out`, in send order, the store inside every transport
+/// envelope `node` transmits (each link-layer send, delivered or not).
+inline void RecordEnvelopedStores(Network* net, NodeId node,
+                                  std::vector<StoreWire>* out) {
+  net->AddTraceSink([node, out](const TraceEvent& ev) {
+    if (ev.src != node || ev.msg == nullptr || ev.msg->type != kReliableMsg) {
+      return;
+    }
+    StatusOr<ReliableWire> envelope = ReliableWire::Decode(*ev.msg);
+    if (!envelope.ok() || envelope->inner_type != kStoreMsg) return;
+    Message inner;
+    inner.type = envelope->inner_type;
+    inner.payload = envelope->inner_payload;
+    StatusOr<StoreWire> store = StoreWire::Decode(inner);
+    if (store.ok()) out->push_back(std::move(store).value());
+  });
 }
 
 }  // namespace deduce
