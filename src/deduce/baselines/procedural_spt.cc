@@ -6,7 +6,6 @@ namespace deduce {
 
 namespace {
 constexpr uint16_t kAnnounceMsg = 100;
-constexpr int kAnnounceTimer = 1;
 }  // namespace
 
 void ProceduralSptApp::Start(NodeContext* ctx) {
@@ -23,11 +22,10 @@ void ProceduralSptApp::Announce(NodeContext* ctx) {
   // Small randomized delay batches bursts of improvements (standard
   // suppression trick; also what TinyOS code does to avoid collisions).
   ctx->SetTimer(announce_delay_ + ctx->rng().Uniform(0, announce_delay_),
-                kAnnounceTimer);
+                [this, ctx] { SendAnnouncement(ctx); });
 }
 
-void ProceduralSptApp::OnTimer(NodeContext* ctx, int timer_id) {
-  if (timer_id != kAnnounceTimer) return;
+void ProceduralSptApp::SendAnnouncement(NodeContext* ctx) {
   announce_pending_ = false;
   PayloadWriter w;
   w.WriteInt(distance_);

@@ -25,14 +25,17 @@ class ProceduralSptApp : public NodeApp {
 
   void Start(NodeContext* ctx) override;
   void OnMessage(NodeContext* ctx, const Message& msg) override;
-  void OnTimer(NodeContext* ctx, int timer_id) override;
 
   /// Best distance found (-1 = unreached) and tree parent.
   int distance() const { return distance_; }
   NodeId parent() const { return parent_; }
 
  private:
+  /// Schedules one announcement of the current distance, unless one is
+  /// already pending.
   void Announce(NodeContext* ctx);
+  /// The announcement timer fired: tell every neighbor the distance.
+  void SendAnnouncement(NodeContext* ctx);
 
   NodeId root_;
   SimTime announce_delay_;

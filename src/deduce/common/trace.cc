@@ -111,26 +111,6 @@ class FlatJsonScanner {
   size_t i_;
 };
 
-bool ParseI64(const std::string& raw, int64_t* out) {
-  if (raw.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  long long v = std::strtoll(raw.c_str(), &end, 10);
-  if (errno != 0 || end != raw.c_str() + raw.size()) return false;
-  *out = v;
-  return true;
-}
-
-bool ParseU64(const std::string& raw, uint64_t* out) {
-  if (raw.empty() || raw[0] == '-') return false;
-  char* end = nullptr;
-  errno = 0;
-  unsigned long long v = std::strtoull(raw.c_str(), &end, 10);
-  if (errno != 0 || end != raw.c_str() + raw.size()) return false;
-  *out = v;
-  return true;
-}
-
 }  // namespace
 
 std::string TraceIdToHex(uint64_t tid) {
@@ -224,6 +204,9 @@ StatusOr<TraceRecord> TraceRecord::FromJson(const std::string& line) {
       }
       *field = value;
     };
+    auto number = [&](auto* field) {
+      if (!ParseNumber(value, field)) bad = key;
+    };
     if (key == "kind") {
       want_string(&r.kind);
     } else if (key == "phase") {
@@ -239,29 +222,21 @@ StatusOr<TraceRecord> TraceRecord::FromJson(const std::string& line) {
         bad = key;
       }
     } else if (key == "time") {
-      if (!ParseI64(value, &r.time)) bad = key;
+      number(&r.time);
     } else if (key == "bytes") {
-      if (!ParseU64(value, &r.bytes)) bad = key;
+      number(&r.bytes);
     } else if (key == "seq") {
-      if (!ParseU64(value, &r.seq)) bad = key;
-    } else if (key == "node" || key == "src" || key == "dst" ||
-               key == "attempts") {
-      int64_t v = 0;
-      if (!ParseI64(value, &v)) {
-        bad = key;
-        return;
-      }
-      if (key == "node") r.node = static_cast<int>(v);
-      if (key == "src") r.src = static_cast<int>(v);
-      if (key == "dst") r.dst = static_cast<int>(v);
-      if (key == "attempts") r.attempts = static_cast<int>(v);
+      number(&r.seq);
+    } else if (key == "node") {
+      number(&r.node);
+    } else if (key == "src") {
+      number(&r.src);
+    } else if (key == "dst") {
+      number(&r.dst);
+    } else if (key == "attempts") {
+      number(&r.attempts);
     } else if (key == "schema") {
-      int64_t v = 0;
-      if (!ParseI64(value, &v)) {
-        bad = key;
-        return;
-      }
-      r.schema = static_cast<int>(v);
+      number(&r.schema);
     } else if (key == "tid") {
       if (!is_string || !TraceIdFromHex(value, &r.tid)) bad = key;
     } else if (key == "tids") {
@@ -287,26 +262,21 @@ StatusOr<TraceRecord> TraceRecord::FromJson(const std::string& line) {
     } else if (key == "fact") {
       want_string(&r.fact);
     } else if (key == "rule") {
-      int64_t v = 0;
-      if (!ParseI64(value, &v)) {
-        bad = key;
-        return;
-      }
-      r.rule = static_cast<int32_t>(v);
+      number(&r.rule);
     } else if (key == "lat") {
-      if (!ParseI64(value, &r.lat)) bad = key;
+      number(&r.lat);
     } else if (key == "cf") {
       want_string(&r.cf);
     } else if (key == "dmsgs") {
-      if (!ParseI64(value, &r.dmsgs)) bad = key;
+      number(&r.dmsgs);
     } else if (key == "dbytes") {
-      if (!ParseI64(value, &r.dbytes)) bad = key;
+      number(&r.dbytes);
     } else if (key == "dretr") {
-      if (!ParseI64(value, &r.dretr)) bad = key;
+      number(&r.dretr);
     } else if (key == "dsheds") {
-      if (!ParseI64(value, &r.dsheds)) bad = key;
+      number(&r.dsheds);
     } else if (key == "dlat") {
-      if (!ParseI64(value, &r.dlat)) bad = key;
+      number(&r.dlat);
     }
     // Unknown keys are ignored for forward compatibility.
   });

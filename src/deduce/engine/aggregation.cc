@@ -72,7 +72,7 @@ class TagApp : public NodeApp {
 
   void Start(NodeContext* ctx) override {
     for (int e = 0; e < shared_->options.epochs; ++e) {
-      ctx->SetTimer(SendTime(e), e);
+      ctx->SetTimer(SendTime(e), [this, ctx, e] { Report(ctx, e); });
     }
   }
 
@@ -97,8 +97,10 @@ class TagApp : public NodeApp {
     pending_[static_cast<int>(*epoch)].Merge(p);
   }
 
-  void OnTimer(NodeContext* ctx, int epoch) override {
-    // Slot fired: fold in the local reading and push one partial upward.
+ private:
+  /// The epoch's slot fired: fold in the local reading and push one
+  /// partial upward.
+  void Report(NodeContext* ctx, int epoch) {
     PartialState& state = pending_[epoch];
     std::optional<double> reading = shared_->reader(id_, epoch);
     if (reading.has_value()) state.Add(*reading);
@@ -119,7 +121,6 @@ class TagApp : public NodeApp {
     ctx->Send(shared_->tree.parent[static_cast<size_t>(id_)], m);
   }
 
- private:
   /// Depth-slotted schedule: deeper nodes report earlier in the epoch.
   SimTime SendTime(int epoch) const {
     int depth = shared_->tree.depth[static_cast<size_t>(id_)];

@@ -1,7 +1,5 @@
 #include "deduce/engine/counterfactual/perturb.h"
 
-#include <cstdlib>
-
 #include "deduce/common/strings.h"
 #include "deduce/datalog/parser.h"
 
@@ -9,12 +7,8 @@ namespace deduce {
 
 namespace {
 
-bool ParseNode(const std::string& text, NodeId* out) {
-  char* end = nullptr;
-  long v = std::strtol(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0' || v < 0) return false;
-  *out = static_cast<NodeId>(v);
-  return true;
+bool ParseNode(std::string_view text, NodeId* out) {
+  return ParseNumber(text, out) && *out >= 0;
 }
 
 Status Bad(const std::string& clause, const char* what) {
@@ -35,8 +29,6 @@ std::string Perturbation::ToSpec() const {
     case Kind::kBudget:
       return StrFormat("budget=%s,%llu", budget_kind.c_str(),
                        static_cast<unsigned long long>(budget_value));
-    case Kind::kTenantRemove:
-      return "tenant=" + tenant + ",remove";
   }
   return "?";
 }
@@ -44,8 +36,7 @@ std::string Perturbation::ToSpec() const {
 bool Perturbation::operator==(const Perturbation& o) const {
   return kind == o.kind && node == o.node && link_a == o.link_a &&
          link_b == o.link_b && fact == o.fact &&
-         budget_kind == o.budget_kind && budget_value == o.budget_value &&
-         tenant == o.tenant;
+         budget_kind == o.budget_kind && budget_value == o.budget_value;
 }
 
 StatusOr<Perturbation> ParsePerturbation(const std::string& raw) {
@@ -104,19 +95,9 @@ StatusOr<Perturbation> ParsePerturbation(const std::string& raw) {
       return Bad(clause,
                  "budget kind must be replicas|inflight|eval|ingress");
     }
-    char* end = nullptr;
-    unsigned long long cap = std::strtoull(action.c_str(), &end, 10);
-    if (end == action.c_str() || *end != '\0' || cap == 0) {
+    if (!ParseNumber(action, &p.budget_value) || p.budget_value == 0) {
       return Bad(clause, "budget cap must be a positive integer");
     }
-    p.budget_value = cap;
-    return p;
-  }
-  if (key == "tenant") {
-    if (action != "remove") return Bad(clause, "tenant supports only 'remove'");
-    p.kind = Perturbation::Kind::kTenantRemove;
-    if (value.empty()) return Bad(clause, "empty tenant name");
-    p.tenant = value;
     return p;
   }
   return Bad(clause, ("unknown perturbation kind '" + key + "'").c_str());

@@ -18,8 +18,6 @@ namespace deduce {
 ///   link=2-7,cut           cut the 2->7 and 7->2 links at t=0
 ///   inject=r(1, 3, 7),drop drop every base-stream event carrying that fact
 ///   budget=replicas,4      enable budgets, cap live replicas/pred/node at 4
-///   tenant=alice,remove    remove a tenant (parsed for forward compat;
-///                          single-program scenarios reject it at apply time)
 ///
 /// Clauses compose with ';' in a spec string and serialize one per line in
 /// a scenario-v3 `[perturb]` block, so a counterfactual run is itself a
@@ -32,7 +30,6 @@ struct Perturbation {
     kLinkCut = 1,
     kInjectDrop = 2,
     kBudget = 3,
-    kTenantRemove = 4,
   };
 
   Kind kind = Kind::kNodeDown;
@@ -42,7 +39,6 @@ struct Perturbation {
   std::string fact;             ///< kInjectDrop: canonical fact text.
   std::string budget_kind;      ///< kBudget: replicas|inflight|eval|ingress.
   uint64_t budget_value = 0;    ///< kBudget: the cap.
-  std::string tenant;           ///< kTenantRemove.
 
   /// The clause text this perturbation round-trips through
   /// (ParsePerturbation(ToSpec()) == *this).

@@ -242,7 +242,8 @@ StatusOr<std::unique_ptr<DistributedEngine>> DistributedEngine::CreateFromPlan(
   // `shared.plan` lives in the heap-allocated EngineShared, so the sink's
   // pointer stays valid for the engine's lifetime.
   InstallEngineObservability(network, &shared.plan, options.metrics,
-                             options.trace, options.provenance.enabled);
+                             options.trace, options.provenance.enabled,
+                             options.checksum);
   network->Start();
   return engine;
 }

@@ -81,15 +81,24 @@ void AttributeEngineMessage(const QueryPlan& plan, const Message& msg,
 
 void InstallEngineObservability(Network* network, const QueryPlan* plan,
                                 MetricsRegistry* metrics, TraceWriter* trace,
-                                bool provenance) {
+                                bool provenance, bool checksum) {
   if (metrics == nullptr && (trace == nullptr || !trace->on())) return;
-  network->AddTraceSink([plan, metrics, trace,
-                         provenance](const TraceEvent& ev) {
+  network->AddTraceSink([plan, metrics, trace, provenance,
+                         checksum](const TraceEvent& ev) {
+    const Message* msg = ev.msg;
+    // The sink sees a frame as it is sent, before any damage in flight, so
+    // a sealed frame's trailer verifies here and what is decoded is the
+    // message inside it.
+    Message unsealed;
+    if (checksum && msg != nullptr) {
+      unsealed = *msg;
+      if (CheckAndStripFrame(&unsealed)) msg = &unsealed;
+    }
     std::string phase = "other";
     std::string pred;
     uint64_t seq = 0;
-    if (ev.msg != nullptr) {
-      AttributeEngineMessage(*plan, *ev.msg, &phase, &pred, &seq);
+    if (msg != nullptr) {
+      AttributeEngineMessage(*plan, *msg, &phase, &pred, &seq);
     }
     uint64_t attempts = ev.attempts > 0 ? static_cast<uint64_t>(ev.attempts)
                                         : 1;
@@ -118,8 +127,8 @@ void InstallEngineObservability(Network* network, const QueryPlan* plan,
       r.seq = seq;
       r.attempts = ev.attempts;
       r.delivered = ev.delivered;
-      if (provenance && ev.msg != nullptr) {
-        r.tids = CollectTraceIds(*ev.msg);
+      if (provenance && msg != nullptr) {
+        r.tids = CollectTraceIds(*msg);
         if (!r.tids.empty()) r.schema = 2;
       }
       trace->Emit(r);

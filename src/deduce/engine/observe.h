@@ -35,9 +35,13 @@ void AttributeEngineMessage(const QueryPlan& plan, const Message& msg,
 /// in-flight payload (CollectTraceIds, schema v2) and `metrics` gains a
 /// per-predicate "prov" `<pred>.hop_bytes` histogram — the bytes-per-hop
 /// distribution of each predicate's attributed traffic.
+///
+/// With `checksum` set (EngineOptions::checksum) every frame carries its
+/// 4-byte trailer (SealFrame); it is stripped before attribution and id
+/// collection, so no decoder reads it as a field.
 void InstallEngineObservability(Network* network, const QueryPlan* plan,
                                 MetricsRegistry* metrics, TraceWriter* trace,
-                                bool provenance = false);
+                                bool provenance, bool checksum);
 
 }  // namespace deduce
 

@@ -75,6 +75,18 @@ bool RepairManager::WithinLifetime(SymbolId pred, Timestamp gen_ts,
   return gen_ts + window + rt_->shared_->timing.ExpirySlack() > now;
 }
 
+template <typename Fn>
+void RepairManager::ForEachShared(SymbolId pred, NodeId other, Timestamp now,
+                                  Fn&& fn) const {
+  auto it = rt_->replicas_.find(pred);
+  if (it == rt_->replicas_.end()) return;
+  for (const auto& [id, rep] : it->second) {
+    if (!SharedReplica(pred, id.source, rt_->id_, other)) continue;
+    if (rep.have_insert && !WithinLifetime(pred, rep.gen_ts, now)) continue;
+    fn(id, rep);
+  }
+}
+
 std::vector<PredDigest> RepairManager::ComputeDigests(NodeId other,
                                                       Timestamp now) const {
   std::vector<SymbolId> preds;
@@ -86,14 +98,13 @@ std::vector<PredDigest> RepairManager::ComputeDigests(NodeId other,
   for (SymbolId pred : preds) {
     PredDigest d;
     d.pred = pred;
-    for (const auto& [id, rep] : rt_->replicas_.at(pred)) {
-      if (!SharedReplica(pred, id.source, rt_->id_, other)) continue;
-      if (rep.have_insert && !WithinLifetime(pred, rep.gen_ts, now)) continue;
+    ForEachShared(pred, other, now, [&](const TupleId& id,
+                                        const Replica& rep) {
       ++d.count;
       d.fingerprint ^= ReplicaFingerprint(
           id, rep.have_insert, rep.del_ts.has_value(),
           rep.del_ts.value_or(0), rt_->retraction_on());
-    }
+    });
     if (d.count > 0) out.push_back(d);
   }
   return out;
@@ -103,18 +114,15 @@ std::vector<RepairPullWire::Known> RepairManager::BuildKnown(
     const std::vector<SymbolId>& preds, NodeId other, Timestamp now) const {
   std::vector<RepairPullWire::Known> out;
   for (SymbolId pred : preds) {
-    auto rit = rt_->replicas_.find(pred);
-    if (rit == rt_->replicas_.end()) continue;
-    for (const auto& [id, rep] : rit->second) {
-      if (!SharedReplica(pred, id.source, rt_->id_, other)) continue;
-      if (rep.have_insert && !WithinLifetime(pred, rep.gen_ts, now)) continue;
+    ForEachShared(pred, other, now, [&](const TupleId& id,
+                                        const Replica& rep) {
       RepairPullWire::Known k;
       k.pred = pred;
       k.id = id;
       k.have_insert = rep.have_insert;
       k.has_del = rep.del_ts.has_value();
       out.push_back(k);
-    }
+    });
   }
   return out;
 }
@@ -186,8 +194,7 @@ void RepairManager::StartResync(NodeContext* ctx) {
   if (peer == kNoNode) {
     // Nobody in the band looks alive right now; burn the attempt and retry
     // after a timeout (suspicions may clear in the meantime).
-    rt_->NewTimer(ctx, ResyncTimeout(kNoNode),
-                  [this, ctx] { StartResync(ctx); });
+    ctx->SetTimer(ResyncTimeout(kNoNode), [this, ctx] { StartResync(ctx); });
     return;
   }
   StartExchange(ctx, peer, /*resync=*/true);
@@ -220,13 +227,13 @@ void RepairManager::StartExchange(NodeContext* ctx, NodeId peer, bool resync) {
   req.anti_entropy = !resync;
   rt_->SendEngineMessage(ctx, peer, req.Encode());
   if (resync) {
-    rt_->NewTimer(ctx, ResyncTimeout(peer), [this, ctx, round] {
+    ctx->SetTimer(ResyncTimeout(peer), [this, ctx, round] {
       if (active_.erase(round) > 0) StartResync(ctx);
     });
   } else {
     // Anti-entropy rounds are best-effort; drop the bookkeeping after two
     // periods so a lost reply cannot leak exchange state forever.
-    rt_->NewTimer(ctx, 2 * opts().anti_entropy_period,
+    ctx->SetTimer(2 * opts().anti_entropy_period,
                   [this, round] { active_.erase(round); });
   }
 }
@@ -257,7 +264,7 @@ void RepairManager::OnReplicaActivity(NodeContext* ctx) {
   // Deterministic per-node stagger so band neighbors don't fire in
   // lockstep.
   SimTime stagger = static_cast<SimTime>(rt_->id_ % 16) * 1013;
-  rt_->NewTimer(ctx, opts().anti_entropy_period + stagger,
+  ctx->SetTimer(opts().anti_entropy_period + stagger,
                 [this, ctx] { OnAntiEntropyTimer(ctx); });
 }
 
@@ -275,7 +282,7 @@ void RepairManager::OnAntiEntropyTimer(NodeContext* ctx) {
   }
   ae_armed_ = true;
   SimTime stagger = static_cast<SimTime>(rt_->id_ % 16) * 1013;
-  rt_->NewTimer(ctx, opts().anti_entropy_period + stagger,
+  ctx->SetTimer(opts().anti_entropy_period + stagger,
                 [this, ctx] { OnAntiEntropyTimer(ctx); });
 }
 
@@ -345,18 +352,15 @@ void RepairManager::HandleRepairPull(NodeContext* ctx,
   push.replier = rt_->id_;
   push.round = pull.round;
   for (SymbolId pred : pull.preds) {
-    auto rit = rt_->replicas_.find(pred);
-    if (rit == rt_->replicas_.end()) continue;
-    for (const auto& [id, rep] : rit->second) {
-      if (!SharedReplica(pred, id.source, rt_->id_, pull.requester)) continue;
-      if (rep.have_insert && !WithinLifetime(pred, rep.gen_ts, now)) continue;
+    ForEachShared(pred, pull.requester, now, [&](const TupleId& id,
+                                                 const Replica& rep) {
       auto kit = known.find({pred, id});
       const RepairPullWire::Known* k =
           kit == known.end() ? nullptr : kit->second;
       bool missing_insert = rep.have_insert && (k == nullptr || !k->have_insert);
       bool missing_del =
           rep.del_ts.has_value() && (k == nullptr || !k->has_del);
-      if (k != nullptr && !missing_insert && !missing_del) continue;
+      if (k != nullptr && !missing_insert && !missing_del) return;
       RepairPushWire::Entry e;
       e.pred = pred;
       e.fact = rep.fact;
@@ -366,7 +370,7 @@ void RepairManager::HandleRepairPull(NodeContext* ctx,
       e.has_del = rep.del_ts.has_value();
       e.del_ts = rep.del_ts.value_or(0);
       push.entries.push_back(std::move(e));
-    }
+    });
   }
   rt_->shared_->stats.repair_replicas_pushed += push.entries.size();
   if (rt_->shared_->metrics != nullptr && !push.entries.empty()) {

@@ -96,6 +96,13 @@ class RepairManager {
   /// §IV-B visibility-lifetime filter: false once the replica would have
   /// been garbage-collected (never for unwindowed predicates).
   bool WithinLifetime(SymbolId pred, Timestamp gen_ts, Timestamp now) const;
+  /// Calls `fn(id, replica)` for every replica of `pred` this node shares
+  /// with `other` (SharedReplica) whose insert, if it has one, is still
+  /// within its lifetime, in TupleId order. The one scan behind digests,
+  /// known sets and pushes.
+  template <typename Fn>
+  void ForEachShared(SymbolId pred, NodeId other, Timestamp now,
+                     Fn&& fn) const;
   /// The requester's still-visible shared state for `preds`, shipped with
   /// a pull so the replier can diff (and notice requester-side surplus).
   std::vector<RepairPullWire::Known> BuildKnown(

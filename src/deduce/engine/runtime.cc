@@ -162,23 +162,6 @@ void NodeRuntime::Start(NodeContext* ctx) {
   }
 }
 
-int NodeRuntime::NewTimer(NodeContext* ctx, SimTime delay,
-                          std::function<void()> fn) {
-  int id = next_timer_++;
-  timers_[id] = std::move(fn);
-  ctx->SetTimer(delay, id);
-  return id;
-}
-
-void NodeRuntime::OnTimer(NodeContext* ctx, int timer_id) {
-  (void)ctx;
-  auto it = timers_.find(timer_id);
-  if (it == timers_.end()) return;
-  auto fn = std::move(it->second);
-  timers_.erase(it);
-  fn();
-}
-
 void NodeRuntime::Fault(const std::string& what) {
   shared_->stats.errors.push_back(
       StrFormat("node %d: %s", id_, what.c_str()));
@@ -229,12 +212,22 @@ bool NodeRuntime::ForwardEngineMessage(NodeContext* ctx, NodeId final_target,
     return false;
   }
   if (next != plain) ++shared_->stats.rerouted_hops;
-  if (checksum_on()) SealFrame(&msg);
-  bool acked = ctx->Send(next, std::move(msg));
+  bool acked = Transmit(ctx, {&next, 1}, std::move(msg));
   // No MAC ack: every link-layer attempt toward `next` was lost, or `next`
   // is dead. Suspect it; a pure-loss false suspicion is cleared as soon as
   // anyone hears from it, and in the meantime routing detours around it.
   if (!acked && transport_on()) MarkDown(next);
+  return acked;
+}
+
+bool NodeRuntime::Transmit(NodeContext* ctx, std::span<const NodeId> hops,
+                           Message msg) {
+  if (checksum_on()) SealFrame(&msg);
+  bool acked = false;
+  for (size_t i = 0; i < hops.size(); ++i) {
+    acked = i + 1 < hops.size() ? ctx->Send(hops[i], msg)
+                                : ctx->Send(hops[i], std::move(msg));
+  }
   return acked;
 }
 
@@ -427,7 +420,7 @@ void NodeRuntime::TransmitPending(NodeContext* ctx, uint64_t key) {
       static_cast<double>(pm.rto) * shared_->transport.rto_backoff);
   if (pm.rto_cap > 0 && backed_off > pm.rto_cap) backed_off = pm.rto_cap;
   pm.rto = backed_off;
-  NewTimer(ctx, rto, [this, ctx, key]() {
+  ctx->SetTimer(rto, [this, ctx, key]() {
     auto it2 = pending_.find(key);
     if (it2 == pending_.end()) return;  // acked
     if (it2->second.retries_left <= 0) {
@@ -573,8 +566,9 @@ void NodeRuntime::QueueRetractionRetry(NodeContext* ctx, NodeId dest,
   if (used < 1) used = 1;
   SimTime delay = RtoFor(dest, inner.WireSize() + 32) *
                   static_cast<SimTime>(2 * used);
-  NewTimer(ctx, delay, [this, ctx, dest, inner, rounds_left]() {
-    SendReliable(ctx, dest, inner, rounds_left);
+  ctx->SetTimer(delay, [this, ctx, dest, inner = std::move(inner),
+                        rounds_left]() mutable {
+    SendReliable(ctx, dest, std::move(inner), rounds_left);
   });
 }
 
@@ -642,7 +636,6 @@ void NodeRuntime::OnRestart(NodeContext* ctx) {
   replicas_.clear();
   home_.clear();
   agg_state_.clear();
-  timers_.clear();
   pending_.clear();
   rx_seen_.clear();
   shed_preds_.clear();  // shed taint is per-incarnation, like the stores
@@ -702,8 +695,29 @@ Status NodeRuntime::Inject(NodeContext* ctx, StreamOp op, const Fact& fact) {
   if (shared_->metrics != nullptr) {
     shared_->metrics->Add(id_, "engine", "tuples_injected");
   }
-  auto emit_inject = [&](uint64_t trace_id) {
-    if (shared_->trace == nullptr || !shared_->trace->on()) return;
+  // The tuple the update names: a fresh one for an insertion; for a
+  // deletion, the first live tuple (in TupleId order) this node generated.
+  // The row is copied out: rows move when the storage phase records the
+  // deletion mark.
+  std::optional<TupleId> tid;
+  Timestamp gen_ts = now;
+  if (op == StreamOp::kInsert) {
+    tid = TupleId{id_, now, seq_++};
+  } else if (auto rit = replicas_.find(fact.predicate());
+             rit != replicas_.end()) {
+    for (const auto& [id, rep] : rit->second) {
+      if (id.source != id_ || !rep.have_insert || rep.del_ts.has_value() ||
+          rep.fact != fact) {
+        continue;
+      }
+      tid = id;
+      gen_ts = rep.gen_ts;
+      break;
+    }
+  }
+  // Every injection is traced, a failed deletion too. With provenance on,
+  // the record names the tuple (schema v2).
+  if (shared_->trace != nullptr && shared_->trace->on()) {
     TraceRecord r;
     r.time = now;
     r.node = id_;
@@ -711,64 +725,29 @@ Status NodeRuntime::Inject(NodeContext* ctx, StreamOp op, const Fact& fact) {
     r.phase = "inject";
     r.pred = SymbolName(fact.predicate());
     r.bytes = 0;
-    if (trace_id != 0) {  // provenance on: id the injected tuple (schema v2)
+    uint64_t trace_id = provenance_on() && tid ? TraceIdFor(*tid) : 0;
+    if (trace_id != 0) {
       r.schema = 2;
       r.tid = trace_id;
       r.fact = fact.ToString();
     }
     shared_->trace->Emit(r);
-  };
-  // With provenance off, the record is emitted here — before the tuple id
-  // exists — keeping the v1 stream byte-identical. With provenance on it is
-  // emitted once the id (and thus the trace id) is known.
-  if (!provenance_on()) emit_inject(0);
-  if (op == StreamOp::kInsert) {
-    TupleId id{id_, now, seq_++};
-    if (provenance_on()) emit_inject(TraceIdFor(id));
-    StartStoragePhase(ctx, fact.predicate(), fact, id, now, /*deletion=*/false,
-                      0);
-    // The injection occupies an ingress slot until its join launch fires
-    // (the bounded ingress queue's drain point).
-    if (budget_on()) ++ingress_open_;
-    NewTimer(ctx, shared_->timing.JoinDelay(),
-             [this, ctx, fact, id, now]() {
-               if (ingress_open_ > 0) --ingress_open_;
-               LaunchJoinPasses(ctx, fact.predicate(), fact, id,
-                                StreamOp::kInsert, now);
-             });
-    return Status::OK();
   }
-  // Deletion: find the first live tuple (in TupleId order) this node
-  // generated. The row is copied out before the storage phase records the
-  // deletion mark: rows move when the table changes.
-  std::optional<std::pair<TupleId, Timestamp>> live;
-  auto rit = replicas_.find(fact.predicate());
-  if (rit != replicas_.end()) {
-    for (const auto& [id, rep] : rit->second) {
-      if (id.source != id_ || !rep.have_insert || rep.del_ts.has_value()) {
-        continue;
-      }
-      if (rep.fact != fact) continue;
-      live.emplace(id, rep.gen_ts);
-      break;
-    }
-  }
-  if (!live.has_value()) {
-    // A failed deletion is still traced (v1 did).
-    if (provenance_on()) emit_inject(0);
+  if (!tid.has_value()) {
     return Status::NotFound("no live tuple " + fact.ToString() +
                             " generated at this node");
   }
-  TupleId tid = live->first;
-  if (provenance_on()) emit_inject(TraceIdFor(tid));
-  StartStoragePhase(ctx, fact.predicate(), fact, tid, live->second,
-                    /*deletion=*/true, now);
-  Fact f = fact;
+  bool deletion = op == StreamOp::kDelete;
+  StartStoragePhase(ctx, fact.predicate(), fact, *tid, gen_ts, deletion,
+                    deletion ? now : 0);
+  // The injection occupies an ingress slot until its join launch fires
+  // (the bounded ingress queue's drain point).
   if (budget_on()) ++ingress_open_;
-  NewTimer(ctx, shared_->timing.JoinDelay(), [this, ctx, f, tid, now]() {
-    if (ingress_open_ > 0) --ingress_open_;
-    LaunchJoinPasses(ctx, f.predicate(), f, tid, StreamOp::kDelete, now);
-  });
+  ctx->SetTimer(shared_->timing.JoinDelay(),
+                [this, ctx, fact, id = *tid, op, now]() {
+                  if (ingress_open_ > 0) --ingress_open_;
+                  LaunchJoinPasses(ctx, fact.predicate(), fact, id, op, now);
+                });
   return Status::OK();
 }
 
@@ -816,13 +795,10 @@ void NodeRuntime::StartStoragePhase(NodeContext* ctx, SymbolId pred,
                     ? shared_->topology->node_count()
                     : pp.spatial_radius;
       flood_seen_.insert({id, deletion});
-      StoreWire flood = store;
-      flood.final_target = kNoNode;
-      flood.flood_ttl = ttl - 1;
       if (ttl <= 0) return;
-      Message m = flood.Encode();
-      if (checksum_on()) SealFrame(&m);
-      for (NodeId v : ctx->neighbors()) ctx->Send(v, m);
+      store.final_target = kNoNode;
+      store.flood_ttl = ttl - 1;
+      Transmit(ctx, ctx->neighbors(), store.Encode());
       return;
     }
     case StoragePolicy::kCentroid: {
@@ -959,7 +935,7 @@ void NodeRuntime::RecordReplica(NodeContext* ctx, const StoreWire& store) {
         SimTime delay = std::max<SimTime>(0, expire_local - ctx->LocalTime());
         SymbolId pred = store.pred;
         TupleId id = store.id;
-        NewTimer(ctx, delay, [this, pred, id]() {
+        ctx->SetTimer(delay, [this, pred, id]() {
           ScopedSpan span(shared_->metrics, id_, "window_expiry");
           auto it = replicas_.find(pred);
           if (it != replicas_.end()) it->second.Erase(id);
@@ -980,11 +956,8 @@ void NodeRuntime::HandleStore(NodeContext* ctx, StoreWire store) {
     flood_seen_.insert(key);
     RecordReplica(ctx, store);
     if (store.flood_ttl > 0) {
-      StoreWire next = store;
-      next.flood_ttl = store.flood_ttl - 1;
-      Message m = next.Encode();
-      if (checksum_on()) SealFrame(&m);
-      for (NodeId v : ctx->neighbors()) ctx->Send(v, m);
+      --store.flood_ttl;
+      Transmit(ctx, ctx->neighbors(), store.Encode());
     }
     return;
   }
@@ -1745,7 +1718,7 @@ void NodeRuntime::HandleAgg(NodeContext* ctx, AggWire aw) {
       expiry.removal = true;
       SimTime delay =
           std::max<SimTime>(0, aw.update_ts + window - ctx->LocalTime());
-      NewTimer(ctx, delay, [this, ctx, expiry]() {
+      ctx->SetTimer(delay, [this, ctx, expiry = std::move(expiry)]() {
         HandleAgg(ctx, expiry);
       });
     }
@@ -1903,12 +1876,10 @@ void NodeRuntime::ApplyResult(NodeContext* ctx, const ResultWire& rw) {
     // the wait silently cancels the generation.
     e.pending = true;
     uint64_t epoch = ++e.epoch;
-    SymbolId pred = rw.pred;
-    Fact fact = rw.fact;
-    NewTimer(ctx, shared_->timing.finalize_delay,
-             [this, ctx, pred, fact, epoch]() {
-               FinalizeGeneration(ctx, pred, fact, epoch);
-             });
+    ctx->SetTimer(shared_->timing.finalize_delay,
+                  [this, ctx, pred = rw.pred, fact = rw.fact, epoch]() {
+                    FinalizeGeneration(ctx, pred, fact, epoch);
+                  });
   } else {
     if (retraction_on() && !d.support.empty()) e.anti.insert(d);
     if (e.derivs.erase(d) == 0) return;
@@ -1958,7 +1929,7 @@ void NodeRuntime::FinalizeGeneration(NodeContext* ctx, SymbolId pred,
   Timestamp window = shared_->plan.pred_plan(pred).window;
   if (window != kNoWindow) {
     TupleId gen_id = e.id;
-    NewTimer(ctx, window, [this, ctx, pred, fact, gen_id]() {
+    ctx->SetTimer(window, [this, ctx, pred, fact, gen_id]() {
       auto hit2 = home_.find(pred);
       if (hit2 == home_.end()) return;
       auto fit2 = hit2->second.map.find(fact);
@@ -1979,12 +1950,10 @@ void NodeRuntime::GenerateDerivedUpdate(NodeContext* ctx, SymbolId pred,
                                         StreamOp op, Timestamp ts) {
   StartStoragePhase(ctx, pred, fact, id, op == StreamOp::kInsert ? ts : 0,
                     /*deletion=*/op == StreamOp::kDelete, ts);
-  Fact f = fact;
-  TupleId tid = id;
-  NewTimer(ctx, shared_->timing.JoinDelay(), [this, ctx, pred, f, tid, op,
-                                              ts]() {
-    LaunchJoinPasses(ctx, pred, f, tid, op, ts);
-  });
+  ctx->SetTimer(shared_->timing.JoinDelay(),
+                [this, ctx, pred, fact, id, op, ts]() {
+                  LaunchJoinPasses(ctx, pred, fact, id, op, ts);
+                });
 }
 
 std::vector<Fact> NodeRuntime::HomeFacts(SymbolId pred) const {

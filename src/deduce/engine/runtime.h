@@ -2,11 +2,11 @@
 #define DEDUCE_ENGINE_RUNTIME_H_
 
 #include <algorithm>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -401,7 +401,6 @@ class NodeRuntime : public NodeApp {
 
   void Start(NodeContext* ctx) override;
   void OnMessage(NodeContext* ctx, const Message& msg) override;
-  void OnTimer(NodeContext* ctx, int timer_id) override;
   void OnRestart(NodeContext* ctx) override;
 
   /// Injects a base-stream update at this node (the sensing API).
@@ -439,7 +438,7 @@ class NodeRuntime : public NodeApp {
 
  private:
   /// The repair protocol driver reaches into the replica store and the
-  /// send/timer plumbing (repair.h).
+  /// send plumbing (repair.h).
   friend class RepairManager;
 
   /// Home-store entry for a derived tuple hashed to this node.
@@ -501,6 +500,10 @@ class NodeRuntime : public NodeApp {
   /// Returns the hop's MAC ack (false also when unroutable).
   bool ForwardEngineMessage(NodeContext* ctx, NodeId final_target,
                             Message msg);
+  /// Puts a frame on the air: seals `msg` when checksums are on and sends
+  /// it one hop to each node of `hops`, in order. Returns the MAC ack of
+  /// the last send.
+  bool Transmit(NodeContext* ctx, std::span<const NodeId> hops, Message msg);
   /// Wraps `inner` in a ReliableWire envelope and transmits it, arming the
   /// retransmission timer. `retraction_rounds` carries the requeue budget
   /// of a retraction-protocol retry; -1 = fresh send (budget from options).
@@ -662,7 +665,6 @@ class NodeRuntime : public NodeApp {
   void DropFrame();
   std::vector<NodeId> SweepPath(const DeltaPlan& delta, NodeId source,
                                 uint32_t pass_index, bool removal) const;
-  int NewTimer(NodeContext* ctx, SimTime delay, std::function<void()> fn);
   /// Visibility of a replica for a join at update time τ (§IV-B window
   /// predicate): generated in (τ - w, τ], not deleted before τ.
   bool Visible(const Replica& r, Timestamp update_ts, Timestamp window,
@@ -690,8 +692,6 @@ class NodeRuntime : public NodeApp {
   };
   std::map<uint32_t, std::map<std::string, AggGroup>> agg_state_;
 
-  std::unordered_map<int, std::function<void()>> timers_;
-  int next_timer_ = 0;
   uint32_t seq_ = 0;
 
   // --- budget state (EngineOptions::budget; all idle when budgets off) ---

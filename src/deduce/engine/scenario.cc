@@ -36,12 +36,26 @@ bool ParseNodeList(const std::string& text, std::vector<NodeId>* out) {
   out->clear();
   if (text == "*") return true;
   for (const std::string& part : StrSplit(text, ',')) {
-    char* end = nullptr;
-    long v = std::strtol(part.c_str(), &end, 10);
-    if (end == part.c_str() || *end != '\0') return false;
-    out->push_back(static_cast<NodeId>(v));
+    NodeId v = 0;
+    if (!ParseNumber(part, &v)) return false;
+    out->push_back(v);
   }
   return !out->empty();
+}
+
+/// Reads the value of a `<name>=<number>` option token; `prefix` is
+/// "<name>=".
+template <typename T>
+bool ParseOption(std::string_view token, std::string_view prefix, T* out) {
+  return StartsWith(token, prefix) &&
+         ParseNumber(token.substr(prefix.size()), out);
+}
+
+/// Scenario booleans are written 0 or 1, and only those parse.
+bool ParseFlag(std::string_view text, bool* out) {
+  if (text != "0" && text != "1") return false;
+  *out = text == "1";
+  return true;
 }
 
 const char* FaultKindName(const FaultEvent& ev) {
@@ -111,19 +125,22 @@ std::string FormatFault(const FaultEvent& ev) {
 
 Status ParseFault(const std::string& line, int lineno, FaultPlan* plan) {
   std::istringstream ls(line);
-  std::string kind;
-  long long time;
-  if (!(ls >> kind >> time)) {
+  std::string kind, time_text;
+  SimTime time = 0;
+  auto bad = [&](const std::string& what) {
     return Status::InvalidArgument(
-        StrFormat("faults line %d: expected '<kind> <time> ...'", lineno));
+        StrFormat("faults line %d: %s", lineno, what.c_str()));
+  };
+  if (!(ls >> kind >> time_text) || !ParseNumber(time_text, &time)) {
+    return bad("expected '<kind> <time> ...'");
   }
-  auto bad = [&](const char* what) {
-    return Status::InvalidArgument(
-        StrFormat("faults line %d: %s", lineno, what));
+  std::string node_text;
+  NodeId node = kNoNode;
+  auto read_node = [&] {
+    return static_cast<bool>(ls >> node_text) && ParseNumber(node_text, &node);
   };
   if (kind == "fail" || kind == "recover") {
-    int node;
-    if (!(ls >> node)) return bad("expected node id");
+    if (!read_node()) return bad("expected node id");
     if (kind == "fail") {
       plan->Fail(time, node);
     } else {
@@ -132,32 +149,32 @@ Status ParseFault(const std::string& line, int lineno, FaultPlan* plan) {
     return Status::OK();
   }
   if (kind == "slow") {
-    int node;
     std::string opt;
-    if (!(ls >> node >> opt) || opt.rfind("stall=", 0) != 0) {
+    SimTime stall = 0;
+    if (!read_node() || !(ls >> opt) || !ParseOption(opt, "stall=", &stall)) {
       return bad("expected '<node> stall=<us>'");
     }
-    plan->SlowNode(time, node, std::strtoll(opt.c_str() + 6, nullptr, 10));
+    plan->SlowNode(time, node, stall);
     return Status::OK();
   }
   if (kind == "squeeze") {
     std::string opt;
-    if (!(ls >> opt) || opt.rfind("factor=", 0) != 0) {
+    double factor = 0;
+    if (!(ls >> opt) || !ParseOption(opt, "factor=", &factor)) {
       return bad("expected 'factor=<f>'");
     }
-    plan->MemSqueeze(time, std::strtod(opt.c_str() + 7, nullptr));
+    plan->MemSqueeze(time, factor);
     return Status::OK();
   }
   if (kind == "storm") {
-    int node;
     std::string count_opt, pred_opt;
-    if (!(ls >> node >> count_opt >> pred_opt) ||
-        count_opt.rfind("count=", 0) != 0 ||
+    int64_t count = 0;
+    if (!read_node() || !(ls >> count_opt >> pred_opt) ||
+        !ParseOption(count_opt, "count=", &count) ||
         pred_opt.rfind("pred=", 0) != 0) {
       return bad("expected '<node> count=<n> pred=<name>'");
     }
-    plan->InjectStorm(time, node, pred_opt.substr(5),
-                      std::strtoll(count_opt.c_str() + 6, nullptr, 10));
+    plan->InjectStorm(time, node, pred_opt.substr(5), count);
     return Status::OK();
   }
   if (kind != "cut" && kind != "heal" && kind != "corrupt" &&
@@ -165,7 +182,7 @@ Status ParseFault(const std::string& line, int lineno, FaultPlan* plan) {
     // Explicitly reject rather than best-effort: a replayed reproducer
     // with a fault this build does not know cannot be trusted to
     // reproduce anything.
-    return bad(("unknown fault kind '" + kind + "'").c_str());
+    return bad("unknown fault kind '" + kind + "'");
   }
   std::string src_text, arrow, dst_text;
   if (!(ls >> src_text >> arrow >> dst_text) || arrow != "->") {
@@ -175,13 +192,14 @@ Status ParseFault(const std::string& line, int lineno, FaultPlan* plan) {
   if (!ParseNodeList(src_text, &src)) return bad("bad src node list");
   if (!ParseNodeList(dst_text, &dst)) return bad("bad dst node list");
   double rate = 1.0;
-  long long extra = 0;
+  SimTime extra = 0;
   std::string opt;
   while (ls >> opt) {
-    if (opt.rfind("rate=", 0) == 0) {
-      rate = std::strtod(opt.c_str() + 5, nullptr);
-    } else if (opt.rfind("extra=", 0) == 0) {
-      extra = std::strtoll(opt.c_str() + 6, nullptr, 10);
+    if (StartsWith(opt, "rate=") || StartsWith(opt, "extra=")) {
+      if (!ParseOption(opt, "rate=", &rate) &&
+          !ParseOption(opt, "extra=", &extra)) {
+        return bad("bad value in fault option '" + opt + "'");
+      }
     } else {
       return bad("unknown fault option");
     }
@@ -194,13 +212,13 @@ Status ParseFault(const std::string& line, int lineno, FaultPlan* plan) {
     plan->CorruptLinks(time, std::move(src), std::move(dst), rate);
   } else if (kind == "dup") {
     plan->DuplicateLinks(time, std::move(src), std::move(dst), rate);
-  } else if (kind == "delay") {
-    plan->DelayLinks(time, std::move(src), std::move(dst), rate, extra);
   } else {
-    return bad("unknown fault kind");
+    plan->DelayLinks(time, std::move(src), std::move(dst), rate, extra);
   }
   return Status::OK();
 }
+
+}  // namespace
 
 StatusOr<ScenarioEvent> ParseEventLine(const std::string& line, int lineno) {
   std::istringstream ls(line);
@@ -228,8 +246,6 @@ StatusOr<ScenarioEvent> ParseEventLine(const std::string& line, int lineno) {
   ev.fact = Fact(rule->head.predicate, rule->head.args);
   return ev;
 }
-
-}  // namespace
 
 // ---------------------------------------------------------------------
 // Scenario text form
@@ -313,9 +329,8 @@ StatusOr<Scenario> Scenario::FromText(const std::string& text) {
       constexpr char kVersionPrefix[] = "# deduce chaos scenario v";
       if (trimmed.rfind(kVersionPrefix, 0) == 0) {
         const char* digits = trimmed.c_str() + sizeof(kVersionPrefix) - 1;
-        char* end = nullptr;
-        long version = std::strtol(digits, &end, 10);
-        if (end == digits || *end != '\0' || version < 1 || version > 3) {
+        int version = 0;
+        if (!ParseNumber(digits, &version) || version < 1 || version > 3) {
           return fail(StrFormat(
               "unsupported scenario version '%s' (this build reads v1-v3)",
               digits));
@@ -346,45 +361,49 @@ StatusOr<Scenario> Scenario::FromText(const std::string& text) {
     switch (section) {
       case Section::kHeader: {
         std::istringstream ls(trimmed);
-        std::string key, value;
-        if (!(ls >> key >> value)) return fail("expected '<key> <value>'");
+        std::string key, value, extra;
+        if (!(ls >> key >> value) || (ls >> extra)) {
+          return fail("expected '<key> <value>'");
+        }
+        bool ok = true;
         if (key == "seed") {
-          s.seed = std::strtoull(value.c_str(), nullptr, 10);
+          ok = ParseNumber(value, &s.seed);
         } else if (key == "grid") {
-          s.grid = std::atoi(value.c_str());
+          ok = ParseNumber(value, &s.grid);
         } else if (key == "loss") {
-          s.loss = std::strtod(value.c_str(), nullptr);
+          ok = ParseNumber(value, &s.loss);
         } else if (key == "retries") {
-          s.retries = std::atoi(value.c_str());
+          ok = ParseNumber(value, &s.retries);
         } else if (key == "reliable") {
-          s.reliable = value != "0";
+          ok = ParseFlag(value, &s.reliable);
         } else if (key == "repair") {
-          s.repair = value != "0";
+          ok = ParseFlag(value, &s.repair);
         } else if (key == "anti_entropy_period") {
-          s.anti_entropy_period = std::strtoll(value.c_str(), nullptr, 10);
+          ok = ParseNumber(value, &s.anti_entropy_period);
         } else if (key == "checksum") {
-          s.checksum = value != "0";
+          ok = ParseFlag(value, &s.checksum);
         } else if (key == "rto_jitter") {
-          s.rto_jitter = std::strtod(value.c_str(), nullptr);
+          ok = ParseNumber(value, &s.rto_jitter);
         } else if (key == "retraction") {
-          s.retraction = value != "0";
+          ok = ParseFlag(value, &s.retraction);
         } else if (key == "storage") {
           s.storage = value;
         } else if (key == "budget") {
-          s.budget = value != "0";
+          ok = ParseFlag(value, &s.budget);
         } else if (key == "budget_replicas") {
-          s.budget_replicas = std::strtoull(value.c_str(), nullptr, 10);
+          ok = ParseNumber(value, &s.budget_replicas);
         } else if (key == "budget_inflight") {
-          s.budget_inflight = std::strtoull(value.c_str(), nullptr, 10);
+          ok = ParseNumber(value, &s.budget_inflight);
         } else if (key == "budget_eval") {
-          s.budget_eval = std::strtoull(value.c_str(), nullptr, 10);
+          ok = ParseNumber(value, &s.budget_eval);
         } else if (key == "budget_ingress") {
-          s.budget_ingress = std::strtoull(value.c_str(), nullptr, 10);
+          ok = ParseNumber(value, &s.budget_ingress);
         } else if (key == "shed_policy") {
           s.shed_policy = value;
         } else {
           return fail("unknown header key '" + key + "'");
         }
+        if (!ok) return fail("bad value '" + value + "' for " + key);
         break;
       }
       case Section::kProgram:
@@ -510,11 +529,6 @@ StatusOr<Scenario> ApplyPerturbations(const Scenario& scenario) {
         }
         break;
       }
-      case Perturbation::Kind::kTenantRemove:
-        // Scenario files carry one anonymous program; there is no tenant
-        // to remove. The clause parses (a multi-tenant capture format can
-        // adopt it without a grammar change) but cannot apply here.
-        return bad("scenario defines no tenants");
     }
   }
   return out;

@@ -16,13 +16,19 @@
 
 namespace deduce {
 
-/// One base-stream injection of a chaos scenario.
+/// One base-stream injection of a chaos scenario (or of a `dlog simulate`
+/// events file).
 struct ScenarioEvent {
   SimTime time = 0;
   NodeId node = 0;
   StreamOp op = StreamOp::kInsert;
   Fact fact;
 };
+
+/// Parses one event line, `<time> <node> +|- <fact>.`; `lineno` is only
+/// for the error message. The `[events]` section of a scenario and a
+/// `dlog simulate --events` file share this format.
+StatusOr<ScenarioEvent> ParseEventLine(const std::string& line, int lineno);
 
 /// A self-contained, replayable chaos run: engine configuration, program
 /// text, the injection trace and the fault schedule. Everything a run
@@ -58,7 +64,8 @@ struct ScenarioEvent {
 /// FromText accepts v1 (pre-overload, no budget header keys), v2, and v3
 /// files; an unknown future version, unknown fault kind, or unknown
 /// perturbation kind is a parse error, never best-effort (`dlog replay`
-/// exits 2).
+/// exits 2). So is a malformed header value or fault option: numbers parse
+/// whole (ParseNumber), booleans are 0 or 1, and the error names the line.
 struct Scenario {
   uint64_t seed = 1;        ///< Network RNG seed.
   int grid = 4;             ///< Grid side; topology is grid x grid.
@@ -153,9 +160,8 @@ StatusOr<ScenarioOutcome> RunScenario(const Scenario& scenario,
 /// edits: node=N,down fails N at t=0; link=A-B,cut cuts both directions at
 /// t=0; inject=F,drop removes every event carrying F (an error when none
 /// matches — a counterfactual that changes nothing explains nothing);
-/// budget=kind,K enables budgets with that cap. tenant=T,remove is
-/// rejected (scenario files define a single anonymous program). The result
-/// has an empty perturbation list.
+/// budget=kind,K enables budgets with that cap. The result has an empty
+/// perturbation list.
 StatusOr<Scenario> ApplyPerturbations(const Scenario& scenario);
 
 /// Knobs for SampleScenario (the `dlog chaos` flags).

@@ -79,15 +79,19 @@ bool NodeContext::Send(NodeId to, Message msg) {
   return network_->Deliver(id_, to, std::move(msg));
 }
 
-void NodeContext::SetTimer(SimTime delay, int timer_id) {
+void NodeContext::SetTimer(SimTime delay, Simulator::EventFn fn) {
   Network* net = network_;
-  NodeId id = id_;
-  uint64_t inc = net->incarnations_[static_cast<size_t>(id)];
-  net->sim_.ScheduleAfter(delay, [net, id, inc, timer_id]() {
-    if (net->failed_[static_cast<size_t>(id)]) return;
-    if (net->incarnations_[static_cast<size_t>(id)] != inc) return;
-    net->apps_[static_cast<size_t>(id)]->OnTimer(
-        net->contexts_[static_cast<size_t>(id)].get(), timer_id);
+  size_t i = static_cast<size_t>(id_);
+  // The down node's event is still scheduled, so a run's event count and
+  // quiescence time do not depend on what its closure would have done.
+  if (net->failed_[i]) {
+    net->sim_.ScheduleAfter(delay, [] {});
+    return;
+  }
+  uint64_t inc = net->incarnations_[i];
+  net->sim_.ScheduleAfter(delay, [net, i, inc, fn = std::move(fn)]() mutable {
+    if (net->failed_[i] || net->incarnations_[i] != inc) return;
+    fn();
   });
 }
 

@@ -145,8 +145,12 @@ class NodeContext {
   /// this bit; callers that predate it may ignore the result.
   bool Send(NodeId to, Message msg);
 
-  /// Schedules OnTimer(timer_id) after `delay` (local == global duration).
-  void SetTimer(SimTime delay, int timer_id);
+  /// Runs `fn` after `delay` (local == global duration) as one simulator
+  /// event, unless the node crashed in between: a timer belongs to the
+  /// incarnation that set it. A timer set while the node is down never
+  /// fires, not even after a reboot; its event still runs, as a no-op.
+  /// This is the only way a node app defers work.
+  void SetTimer(SimTime delay, Simulator::EventFn fn);
 
   /// Node-private deterministic RNG.
   Rng& rng();
@@ -157,7 +161,10 @@ class NodeContext {
 };
 
 /// A node application: the distributed engine's per-node runtime implements
-/// this (engine/runtime.h), as do the procedural baselines.
+/// this (engine/runtime.h), as do the procedural baselines. Deferred work
+/// goes through NodeContext::SetTimer, whose closures usually capture the
+/// app, so an app is installed (Network::SetApp) before Network::Start and
+/// never replaced while the simulation runs.
 class NodeApp {
  public:
   virtual ~NodeApp() = default;
@@ -165,14 +172,9 @@ class NodeApp {
   virtual void Start(NodeContext* ctx) { (void)ctx; }
   /// Called for each delivered message.
   virtual void OnMessage(NodeContext* ctx, const Message& msg) = 0;
-  /// Called for timers set via NodeContext::SetTimer.
-  virtual void OnTimer(NodeContext* ctx, int timer_id) {
-    (void)ctx;
-    (void)timer_id;
-  }
   /// Called when the node reboots after a crash (Network::RecoverNode).
-  /// Volatile state must be treated as lost; pending timers from the
-  /// previous incarnation never fire.
+  /// Volatile state must be treated as lost; timers set before the crash,
+  /// or while the node was down, never fire.
   virtual void OnRestart(NodeContext* ctx) { (void)ctx; }
 };
 
@@ -298,7 +300,8 @@ class Network {
  public:
   Network(Topology topology, LinkModel link, uint64_t seed);
 
-  /// Installs the app for a node (before Start()).
+  /// Installs the app for a node, before Start(): pending timer closures
+  /// may hold on to the app they were set by.
   void SetApp(NodeId id, std::unique_ptr<NodeApp> app);
 
   /// Calls Start() on every app (as a time-0 event per node).
@@ -350,14 +353,16 @@ class Network {
   }
 
   /// Kills a node: it stops receiving and sending (fault injection).
-  /// Timers scheduled before the crash never fire, even after recovery
-  /// (volatile state is lost with the incarnation).
+  /// Timers scheduled before the crash, or while the node is down, never
+  /// fire, even after recovery (volatile state is lost with the
+  /// incarnation).
   void FailNode(NodeId id);
   /// Reboots a failed node: it resumes receiving and sending with a fresh
   /// incarnation. The app's OnRestart runs so it can drop volatile state.
   void RecoverNode(NodeId id);
   bool IsFailed(NodeId id) const { return failed_[static_cast<size_t>(id)]; }
-  /// Incremented on every FailNode; stale timers check it.
+  /// Incremented on every FailNode (crashes only, not reboots); timers of
+  /// an earlier incarnation check it.
   uint64_t incarnation(NodeId id) const {
     return incarnations_[static_cast<size_t>(id)];
   }

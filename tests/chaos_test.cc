@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -28,16 +29,15 @@ class ProbeApp : public NodeApp {
       : log_(log), send_times_(std::move(send_times)) {}
 
   void Start(NodeContext* ctx) override {
-    for (size_t i = 0; i < send_times_.size(); ++i) {
-      ctx->SetTimer(send_times_[i], static_cast<int>(i));
-    }
-  }
-  void OnTimer(NodeContext* ctx, int) override {
-    for (NodeId peer : ctx->neighbors()) {
-      Message m;
-      m.type = 42;
-      m.payload = {0x11, 0x22, 0x33, 0x44};
-      ctx->Send(peer, m);
+    for (SimTime t : send_times_) {
+      ctx->SetTimer(t, [ctx] {
+        for (NodeId peer : ctx->neighbors()) {
+          Message m;
+          m.type = 42;
+          m.payload = {0x11, 0x22, 0x33, 0x44};
+          ctx->Send(peer, m);
+        }
+      });
     }
   }
   void OnMessage(NodeContext* ctx, const Message& msg) override {
@@ -256,6 +256,104 @@ TEST(ScenarioTest, UnknownFaultKindIsRejected) {
   EXPECT_NE(parsed.status().ToString().find("unknown fault kind 'flood'"),
             std::string::npos)
       << parsed.status().ToString();
+}
+
+/// The 1-based line of `text` that `pos` falls on.
+int LineOf(const std::string& text, size_t pos) {
+  return 1 + static_cast<int>(std::count(text.begin(),
+                                         text.begin() + static_cast<long>(pos),
+                                         '\n'));
+}
+
+TEST(ScenarioTest, MalformedHeaderValuesAreRejectedWithTheirLine) {
+  // Each case swaps one header line of kJoinScenario for a malformed one.
+  struct Case {
+    const char* line;
+    const char* bad;
+  };
+  const Case cases[] = {
+      {"seed 11\n", "seed 7abc\n"},                 // unsigned
+      {"seed 11\n", "seed -11\n"},                  // unsigned, with a sign
+      {"grid 4\n", "grid 4x\n"},                    // int
+      {"grid 4\n", "grid 4294967300\n"},            // int, overflows
+      {"loss 0\n", "loss 0.1x\n"},                  // double
+      {"retries 0\n", "retries two\n"},             // int
+      {"reliable 1\n", "reliable yes\n"},           // boolean
+      {"checksum 0\n", "checksum 2\n"},             // boolean
+      {"anti_entropy_period 0\n", "anti_entropy_period 400ms\n"},  // int64
+      {"rto_jitter 0.1\n", "rto_jitter +0.1\n"},    // double, with a '+'
+      {"storage row\n", "budget_replicas -5\n"},    // unsigned
+      {"storage row\n", "storage row extra\n"},     // a second value
+  };
+  for (const Case& c : cases) {
+    std::string text = kJoinScenario;
+    size_t at = text.find(c.line);
+    ASSERT_NE(at, std::string::npos) << c.line;
+    text.replace(at, std::string(c.line).size(), c.bad);
+    auto parsed = Scenario::FromText(text);
+    ASSERT_FALSE(parsed.ok()) << "accepted: " << c.bad;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    std::string where = "scenario line " + std::to_string(LineOf(text, at));
+    EXPECT_NE(parsed.status().message().find(where), std::string::npos)
+        << parsed.status().ToString();
+  }
+}
+
+TEST(ScenarioTest, MalformedFaultValuesAreRejectedWithTheirLine) {
+  const char* bad_faults[] = {
+      "fail 10x 3",                                // time
+      "fail 100000 3x",                            // node
+      "slow 100000 3 stall=5x",                    // stall
+      "squeeze 100000 factor=half",                // factor
+      "storm 100000 3 count=4x pred=r",            // count
+      "cut 100000 0,1x -> 2",                      // node list
+      "corrupt 100000 * -> * rate=0.5x",           // rate
+      "delay 100000 * -> * rate=1 extra=5ms",      // extra
+  };
+  for (const char* fault : bad_faults) {
+    std::string text = kJoinScenario;
+    size_t at = text.find("[faults]\n");
+    ASSERT_NE(at, std::string::npos);
+    text.insert(at + 9, std::string(fault) + "\n");
+    auto parsed = Scenario::FromText(text);
+    ASSERT_FALSE(parsed.ok()) << "accepted: " << fault;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    std::string where = "faults line " + std::to_string(LineOf(text, at + 9));
+    EXPECT_NE(parsed.status().message().find(where), std::string::npos)
+        << parsed.status().ToString();
+  }
+}
+
+TEST(ScenarioTest, SealedFramesAreAttributedWithoutTheirTrailer) {
+  // Checksums on, reliable transport off: every frame on the air ends in
+  // its 4-byte trailer, which a result's optional trailing field must not
+  // read. Every store, sweep and result hop names its predicate, and every
+  // result hop its supports.
+  ChaosProfile profile;
+  profile.reliable = false;
+  Scenario scenario = SampleScenario(1, profile);
+  ASSERT_TRUE(scenario.checksum);
+  std::ostringstream out;
+  TraceWriter trace;
+  trace.OpenStream(&out);
+  ScenarioRunOptions run;
+  run.trace = &trace;
+  run.provenance = true;
+  auto outcome = RunScenario(scenario, run);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  int results = 0;
+  for (const TraceRecord& r : ParseTraceRecords(out.str())) {
+    if (r.kind != "hop") continue;
+    if (r.phase != "store" && r.phase != "sweep" && r.phase != "result") {
+      continue;
+    }
+    EXPECT_FALSE(r.pred.empty()) << r.ToJson();
+    if (r.phase == "result") {
+      ++results;
+      EXPECT_FALSE(r.tids.empty()) << r.ToJson();
+    }
+  }
+  EXPECT_GT(results, 0);
 }
 
 TEST(ScenarioTest, OverloadScenarioRoundTripsThroughV2Text) {

@@ -107,7 +107,6 @@ TEST(PerturbTest, SpecRoundTripsEveryKind) {
       "budget=inflight,2",
       "budget=eval,1",
       "budget=ingress,8",
-      "tenant=t1,remove",
       "node=0,down;link=1-2,cut;budget=eval,3",
   };
   for (const char* spec : specs) {
@@ -140,6 +139,7 @@ TEST(PerturbTest, MalformedSpecsAreRejected) {
       "budget=replicas,0",     // cap must be positive
       "budget=warp,4",         // unknown budget kind
       "inject=t(1) :- r(1),drop",  // rules are not facts
+      "tenant=t1,remove",      // unknown kind
   };
   for (const char* spec : bad) {
     auto parsed = ParsePerturbationSpec(spec);
@@ -164,7 +164,6 @@ TEST(ScenarioV3Test, PerturbBlockRoundTripsAndV3HeaderOnlyWhenPresent) {
       {"link=3-7,cut"},
       {"inject=s(1, 5, 2),drop"},
       {"budget=replicas,4"},
-      {"tenant=t0,remove"},
       {"node=1,down", "link=0-1,cut", "budget=ingress,2"},
   };
   for (const auto& block : blocks) {
@@ -214,9 +213,6 @@ TEST(ScenarioV3Test, ApplyPerturbationsValidates) {
   EXPECT_FALSE(ApplyPerturbations(base).ok());
   // dropping an injection no event carries explains nothing
   base.perturbations = {*ParsePerturbation("inject=zz(1),drop")};
-  EXPECT_FALSE(ApplyPerturbations(base).ok());
-  // scenario files define no tenants
-  base.perturbations = {*ParsePerturbation("tenant=t0,remove")};
   EXPECT_FALSE(ApplyPerturbations(base).ok());
   // a valid drop removes exactly the matching events
   base.perturbations = {*ParsePerturbation("inject=s(1, 5, 2),drop")};

@@ -251,6 +251,47 @@ TEST(FaultToleranceTest, CrashRebootChurnDoesNotWedgeTheEngine) {
             ExpectedPairs(5, topo.GridNode(0, 0), topo.GridNode(4, 4)));
 }
 
+TEST(FaultToleranceTest, InsertionAcceptedAtADownNodeLaunchesNoJoinPass) {
+  // r is injected at a crashed node that reboots before τs+τc. The engine
+  // accepts the injection, but the join launch it schedules belongs to no
+  // incarnation: it never fires, so r derives nothing, although s's
+  // replicas along r's column would have matched it.
+  auto program = ParseProgram(kTwoStreamJoin);
+  ASSERT_TRUE(program.ok()) << program.status();
+  Topology topo = Topology::Grid(5);
+  NodeId r_node = topo.GridNode(2, 2);
+  NodeId s_node = topo.GridNode(4, 2);
+  Network net(topo, ExactLink(), TestSeed(31));
+  auto engine = DistributedEngine::Create(&net, *program, EngineOptions{});
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  net.sim().RunUntil(100'000);
+  ASSERT_TRUE((*engine)
+                  ->Inject(s_node, StreamOp::kInsert,
+                           Fact(Intern("s"), {Term::Int(0), Term::Int(s_node),
+                                              Term::Int(0)}))
+                  .ok());
+  net.sim().RunUntil(1'000'000);  // s is stored and its join is done
+  uint64_t passes_before = (*engine)->stats().join_passes;
+  EXPECT_GT(passes_before, 0u);
+
+  net.FailNode(r_node);
+  EXPECT_TRUE((*engine)
+                  ->Inject(r_node, StreamOp::kInsert,
+                           Fact(Intern("r"), {Term::Int(0), Term::Int(r_node),
+                                              Term::Int(1)}))
+                  .ok());
+  SimTime reboot_after = 1'000;
+  ASSERT_LT(reboot_after, (*engine)->timing().JoinDelay());
+  net.sim().RunUntil(net.now() + reboot_after);
+  net.RecoverNode(r_node);
+  net.sim().Run();
+
+  EXPECT_TRUE((*engine)->stats().errors.empty());
+  EXPECT_EQ((*engine)->stats().tuples_injected, 2u);
+  EXPECT_EQ((*engine)->stats().join_passes, passes_before);
+  EXPECT_TRUE((*engine)->ResultFacts(Intern("t")).empty());
+}
+
 /// Retransmissions observed within a fixed window while one storage-band
 /// node is permanently blackholed (links cut both ways, never healed).
 uint64_t RetransmitsTowardDeadPeer(double rto_backoff, SimTime rto_max,

@@ -329,16 +329,20 @@ TEST(NetworkTest, ClockSkewBounded) {
   }
 }
 
+/// Logs (tag, local time) as each of its timers fires; Start sets tags 7
+/// and 3 at 100 and 50.
 class TimerApp : public NodeApp {
  public:
   explicit TimerApp(std::vector<std::pair<int, SimTime>>* log) : log_(log) {}
   void Start(NodeContext* ctx) override {
-    ctx->SetTimer(100, 7);
-    ctx->SetTimer(50, 3);
+    SetLoggedTimer(ctx, 100, 7);
+    SetLoggedTimer(ctx, 50, 3);
   }
   void OnMessage(NodeContext*, const Message&) override {}
-  void OnTimer(NodeContext* ctx, int timer_id) override {
-    log_->push_back({timer_id, ctx->LocalTime()});
+  void SetLoggedTimer(NodeContext* ctx, SimTime delay, int tag) {
+    ctx->SetTimer(delay, [this, ctx, tag] {
+      log_->push_back({tag, ctx->LocalTime()});
+    });
   }
 
  private:
@@ -495,6 +499,33 @@ TEST(NetworkTest, CrashClearsPendingTimersAcrossIncarnations) {
   // The 50-timer fired; the 100-timer belonged to the dead incarnation.
   ASSERT_EQ(log.size(), 1u);
   EXPECT_EQ(log[0].first, 3);
+  EXPECT_EQ(net.incarnation(0), 1u);
+}
+
+TEST(NetworkTest, TimerSetWhileDownNeverFiresEvenAfterRecovery) {
+  std::vector<std::pair<int, SimTime>> log;
+  Network net(Topology::Line(1), LinkModel{}, 1);
+  net.SetApp(0, std::make_unique<TimerApp>(&log));  // timers at 50 and 100
+  auto* app = static_cast<TimerApp*>(net.app(0));
+  NodeContext* ctx = &net.context(0);
+  net.Start();
+  net.sim().ScheduleAt(10, [&] { net.FailNode(0); });
+  // Set while the node is down: one falls due while it is still down, the
+  // other after it rebooted.
+  net.sim().ScheduleAt(20, [&] {
+    app->SetLoggedTimer(ctx, 10, 1);
+    app->SetLoggedTimer(ctx, 200, 2);
+  });
+  net.sim().ScheduleAt(40, [&] { net.RecoverNode(0); });
+  net.sim().ScheduleAt(60, [&] { app->SetLoggedTimer(ctx, 10, 4); });
+  net.sim().Run();
+  // Only the timer set after the reboot fired; 50 and 100 died with the
+  // first incarnation.
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log[0].first, 4);
+  EXPECT_EQ(log[0].second, 70);
+  // The dead timer's event still ran: the run quiesces when it fell due.
+  EXPECT_EQ(net.now(), 220);
   EXPECT_EQ(net.incarnation(0), 1u);
 }
 

@@ -125,6 +125,40 @@ TEST(RepairTest, RebootResyncRecoversBandReplicas) {
   EXPECT_EQ(without.stats.repair_replicas_pulled, 0u);
 }
 
+TEST(RepairTest, RebootResyncRetriesOnItsTimer) {
+  // As above, but the rebooted node's first digest request is cut off
+  // from both adjacent band peers. Only the resync timeout, a timer set in
+  // OnRestart, can start the second attempt, which the healed links carry.
+  Topology topo = Topology::Grid(5);
+  NodeId r_node = topo.GridNode(0, 2);
+  NodeId s_node = topo.GridNode(2, 0);
+  NodeId victim = topo.GridNode(2, 2);
+  std::vector<NodeId> peers = {topo.GridNode(1, 2), topo.GridNode(3, 2)};
+  FaultPlan faults;
+  faults.Fail(400'000, victim);
+  faults.CutLinks(450'000, {victim}, peers);
+  faults.Recover(500'000, victim);
+  faults.HealLinks(550'000, {victim}, peers);
+  std::vector<Injection> injections = {
+      {100'000, r_node, "r", 0},
+      {1'200'000, s_node, "s", 0},
+  };
+
+  EngineOptions options;
+  options.repair.enabled = true;
+  options.repair.resync_timeout = 100'000;  // second attempt at 600 ms
+  RunOutcome out = RunScenario(topo, StepLink(), options, injections,
+                               TestSeed(26), &faults);
+  EXPECT_TRUE(out.stats.errors.empty());
+  EXPECT_EQ(out.nodes_recovered, 1u);
+  EXPECT_EQ(out.stats.resyncs_started, 1u);
+  EXPECT_EQ(out.stats.repair_digest_rounds, 2u);
+  EXPECT_EQ(out.stats.resyncs_completed, 1u);
+  EXPECT_EQ(out.stats.resyncs_abandoned, 0u);
+  EXPECT_GE(out.stats.repair_replicas_pulled, 1u);
+  EXPECT_TRUE(out.facts.count(Pair(0, r_node, s_node)));
+}
+
 // --- end-to-end churn recall (satellite: churn recall test) -----------------
 
 TEST(RepairTest, ChurnRecallMatchesNoFaultOracle) {

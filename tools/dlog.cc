@@ -92,11 +92,10 @@
 //       [--provenance-capacity K]
 //       The counterfactual tentpole (DESIGN.md §14): parse a perturbation
 //       spec — ';'-separated clauses 'node=N,down', 'link=A-B,cut',
-//       'inject=<fact>,drop', 'budget=<kind>,K', 'tenant=T,remove' —
-//       replay the scenario twice (base and perturbed worlds,
-//       deterministically, byte-identical at any --threads) and print
-//       what changed, why (first divergent derivation edge per tuple),
-//       and what it cost. --out saves the perturbed world as a
+//       'inject=<fact>,drop', 'budget=<kind>,K' — replay the scenario
+//       twice (base and perturbed worlds, deterministically,
+//       byte-identical at any --threads) and print what changed, why
+//       (first divergent derivation edge per tuple), and what it cost. --out saves the perturbed world as a
 //       standalone v3 scenario file; --json writes the cfdiff JSONL.
 //       Exit 2 on an unparseable spec or scenario, 3 when the diff fails
 //       its own soundness check.
@@ -227,15 +226,10 @@ int CmdEval(const std::string& path, const std::string& query_text,
   return 0;
 }
 
-struct Event {
-  SimTime time;
-  NodeId node;
-  StreamOp op;
-  Fact fact;
-};
-
-StatusOr<std::vector<Event>> ParseEvents(const std::string& text) {
-  std::vector<Event> out;
+/// Reads an events file: one `<time> <node> +|- <fact>.` line each
+/// (ParseEventLine); blank, '#' and '%' lines are skipped.
+StatusOr<std::vector<ScenarioEvent>> ParseEvents(const std::string& text) {
+  std::vector<ScenarioEvent> out;
   std::istringstream in(text);
   std::string line;
   int lineno = 0;
@@ -243,30 +237,9 @@ StatusOr<std::vector<Event>> ParseEvents(const std::string& text) {
     ++lineno;
     std::string trimmed(StrTrim(line));
     if (trimmed.empty() || trimmed[0] == '#' || trimmed[0] == '%') continue;
-    std::istringstream ls(trimmed);
-    long long time;
-    int node;
-    std::string op;
-    if (!(ls >> time >> node >> op) || (op != "+" && op != "-")) {
-      return StatusOr<std::vector<Event>>(Status::InvalidArgument(
-          StrFormat("events line %d: expected '<time> <node> +|- <fact>.'",
-                    lineno)));
-    }
-    std::string fact_text;
-    std::getline(ls, fact_text);
-    auto rule = ParseRule(std::string(StrTrim(fact_text)));
-    if (!rule.ok() || !rule->body.empty()) {
-      return StatusOr<std::vector<Event>>(Status::InvalidArgument(
-          StrFormat("events line %d: bad fact: %s", lineno,
-                    rule.ok() ? "rules not allowed"
-                              : rule.status().message().c_str())));
-    }
-    Event ev;
-    ev.time = time;
-    ev.node = node;
-    ev.op = op == "+" ? StreamOp::kInsert : StreamOp::kDelete;
-    ev.fact = Fact(rule->head.predicate, rule->head.args);
-    out.push_back(std::move(ev));
+    auto ev = ParseEventLine(trimmed, lineno);
+    if (!ev.ok()) return StatusOr<std::vector<ScenarioEvent>>(ev.status());
+    out.push_back(std::move(*ev));
   }
   return out;
 }
@@ -399,7 +372,7 @@ int CmdSimulate(const std::string& path, const std::string& events_path,
     net.sim().RunUntil(t);
   };
 
-  for (const Event& ev : *events) {
+  for (const ScenarioEvent& ev : *events) {
     if (ev.node < 0 || ev.node >= net.node_count()) {
       return Fail(Status::OutOfRange(
           StrFormat("event names node %d; grid has %d nodes", ev.node,
@@ -511,7 +484,7 @@ int CmdSimulateTenants(const std::vector<TenantProgram>& tenants,
   Status st = mte.Start(&net);
   if (!st.ok()) return Fail(st);
 
-  for (const Event& ev : *events) {
+  for (const ScenarioEvent& ev : *events) {
     if (ev.node < 0 || ev.node >= net.node_count()) {
       return Fail(Status::OutOfRange(
           StrFormat("event names node %d; grid has %d nodes", ev.node,
@@ -584,7 +557,7 @@ int CmdSimulateSweep(const std::vector<TenantProgram>& tenants,
 
   const EngineOptions& options = sim.options;
   Topology topo = Topology::Grid(grid);
-  for (const Event& ev : *events) {
+  for (const ScenarioEvent& ev : *events) {
     if (ev.node < 0 || ev.node >= topo.node_count()) {
       return Fail(Status::OutOfRange(
           StrFormat("event names node %d; grid has %d nodes", ev.node,
@@ -618,7 +591,7 @@ int CmdSimulateSweep(const std::vector<TenantProgram>& tenants,
             r.errors = 1;
             return r;
           }
-          for (const Event& ev : *events) {
+          for (const ScenarioEvent& ev : *events) {
             net.sim().RunUntil(ev.time);
             if (!(*engine)->Inject(ev.node, ev.op, ev.fact).ok()) ++r.errors;
           }
@@ -638,7 +611,7 @@ int CmdSimulateSweep(const std::vector<TenantProgram>& tenants,
             r.errors = 1;
             return r;
           }
-          for (const Event& ev : *events) {
+          for (const ScenarioEvent& ev : *events) {
             net.sim().RunUntil(ev.time);
             if (!mte.Inject(ev.node, ev.op, ev.fact).ok()) ++r.errors;
           }
@@ -855,7 +828,7 @@ int CmdExplain(const std::string& path, const std::string& fact_text,
     options.trace = &writer;
     auto engine = DistributedEngine::Create(&net, *program, options);
     if (!engine.ok()) return Fail(engine.status());
-    for (const Event& ev : *events) {
+    for (const ScenarioEvent& ev : *events) {
       if (ev.node < 0 || ev.node >= net.node_count()) {
         return Fail(Status::OutOfRange(
             StrFormat("event names node %d; grid has %d nodes", ev.node,
@@ -1105,8 +1078,8 @@ int Usage() {
                "       [--threads N] [--json out.jsonl] [--out saved.scn]\n"
                "       [--provenance-capacity K]\n"
                "       spec: 'node=N,down' | 'link=A-B,cut' |\n"
-               "       'inject=<fact>,drop' | 'budget=<kind>,K' |\n"
-               "       'tenant=T,remove', ';'-separated\n"
+               "       'inject=<fact>,drop' | 'budget=<kind>,K',\n"
+               "       ';'-separated\n"
                "  dlog chaos [--seed S] [--grid N] [--injections N]\n"
                "       [--horizon US] [--loss P] [--no-reliable] [--repair]\n"
                "       [--anti-entropy-period US] [--no-checksum]\n"
@@ -1120,16 +1093,14 @@ int Usage() {
   return 64;
 }
 
-/// strtol/strtod-based flag parsing: the whole value must consume, and it
-/// must sit inside [min, max]. std::atoi silently turns "8x8" into 8 and
+/// Flag parsing through ParseNumber: the whole value must be a number, and
+/// it must sit inside [min, max]. std::atoi silently turns "8x8" into 8 and
 /// "huge" into 0; these report the bad value and fail instead.
 bool ParseIntFlag(const char* flag, const char* v, long min, long max,
                   long* out) {
   if (v == nullptr || *v == '\0') return false;
-  char* end = nullptr;
-  errno = 0;
-  long x = std::strtol(v, &end, 10);
-  if (errno != 0 || *end != '\0' || x < min || x > max) {
+  long x = 0;
+  if (!ParseNumber(v, &x) || x < min || x > max) {
     std::fprintf(stderr, "dlog: invalid value '%s' for %s (expected integer "
                          "in [%ld, %ld])\n", v, flag, min, max);
     return false;
@@ -1139,30 +1110,19 @@ bool ParseIntFlag(const char* flag, const char* v, long min, long max,
 }
 
 bool ParseU64Flag(const char* flag, const char* v, uint64_t* out) {
-  if (v == nullptr || *v == '\0' || *v == '-') {
+  if (v == nullptr || !ParseNumber(v, out)) {
     std::fprintf(stderr, "dlog: invalid value '%s' for %s (expected "
                          "non-negative integer)\n", v ? v : "", flag);
     return false;
   }
-  char* end = nullptr;
-  errno = 0;
-  unsigned long long x = std::strtoull(v, &end, 10);
-  if (errno != 0 || *end != '\0') {
-    std::fprintf(stderr, "dlog: invalid value '%s' for %s (expected "
-                         "non-negative integer)\n", v, flag);
-    return false;
-  }
-  *out = x;
   return true;
 }
 
 bool ParseDoubleFlag(const char* flag, const char* v, double min, double max,
                      double* out) {
   if (v == nullptr || *v == '\0') return false;
-  char* end = nullptr;
-  errno = 0;
-  double x = std::strtod(v, &end);
-  if (errno != 0 || *end != '\0' || !(x >= min && x <= max)) {
+  double x = 0;
+  if (!ParseNumber(v, &x) || !(x >= min && x <= max)) {
     std::fprintf(stderr, "dlog: invalid value '%s' for %s (expected number "
                          "in [%g, %g])\n", v, flag, min, max);
     return false;
